@@ -622,31 +622,45 @@ def write_named_tensors(path: str, named: dict[str, np.ndarray]) -> None:
 
 
 def read_named_tensors(path: str) -> dict[str, np.ndarray]:
+    """Read a checkpoint file; a truncated file or trailing bytes raise ParameterError."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    view = memoryview(raw)
     if raw[:8] != _MAGIC:
         raise ParameterError(f"{path}: not a checkpoint file (bad magic)")
-    version, count = struct.unpack_from("<II", view, 8)
+    view = memoryview(raw)
+    offset = len(_MAGIC)
+
+    def take(n_bytes: int, what: str) -> memoryview:
+        nonlocal offset
+        if offset + n_bytes > len(raw):
+            raise ParameterError(
+                f"{path}: checkpoint truncated at byte {len(raw)} while reading {what}"
+            )
+        chunk = view[offset : offset + n_bytes]
+        offset += n_bytes
+        return chunk
+
+    version, count = struct.unpack("<II", take(8, "the header"))
     if version != _VERSION:
         raise ParameterError(f"{path}: unsupported checkpoint version {version}")
-    offset = 16
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", view, offset)
-        offset += 2
-        name = bytes(view[offset : offset + name_len]).decode("utf-8")
-        offset += name_len
-        dtype_tag, ndim = struct.unpack_from("<BB", view, offset)
-        offset += 2
+    for i in range(count):
+        (name_len,) = struct.unpack("<H", take(2, f"tensor {i} name length"))
+        try:
+            name = bytes(take(name_len, f"tensor {i} name")).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ParameterError(f"{path}: tensor {i} name is not utf-8") from err
+        dtype_tag, ndim = struct.unpack("<BB", take(2, f"{name} dtype"))
         if dtype_tag != _DTYPE_F64:
             raise ParameterError(f"{path}: unknown dtype tag {dtype_tag} for {name}")
-        shape = struct.unpack_from(f"<{ndim}I", view, offset)
-        offset += 4 * ndim
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"{name} shape"))
         n_bytes = 8 * int(np.prod(shape, dtype=np.int64)) if ndim else 8
-        arr = np.frombuffer(view[offset : offset + n_bytes], dtype="<f8").reshape(shape)
-        offset += n_bytes
+        arr = np.frombuffer(take(n_bytes, f"{name} payload"), dtype="<f8").reshape(shape)
         out[name] = arr.astype(np.float64)
+    if offset != len(raw):
+        raise ParameterError(
+            f"{path}: {len(raw) - offset} trailing bytes after the last of {count} tensors"
+        )
     return out
 
 

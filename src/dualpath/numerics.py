@@ -10,6 +10,12 @@ against central finite differences via `grad_check`.
 Graphs are per-result: each Tensor records its parents and a closure
 that routes the incoming gradient, so independent forward passes never
 share state and can run on separate threads.
+
+Graphs are also single-use. `backward` releases every interior node as
+soon as its closure has run, so a training step holds one graph at a
+time and intermediate gradients are freed during the pass. Leaf
+gradients accumulate across passes over freshly built graphs; running
+backward a second time through a released graph raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -70,9 +76,9 @@ class Tensor:
     """Dense n-dimensional float64 array with a differentiation record.
 
     `data` is always C-contiguous (row-major). `grad` is lazily
-    allocated, shaped like `data`, and accumulates across backward
-    calls until `zero_grad`. Tensors are treated as immutable after
-    construction except for gradient accumulation; optimizers that
+    allocated, shaped like `data`, and on a leaf accumulates across
+    backward calls until `zero_grad`. Tensors are treated as immutable
+    after construction except for gradient accumulation; optimizers that
     update `data` in place must do so between recorded passes.
     """
 
@@ -263,6 +269,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul broadcast failed: {a.shape} @ {b.shape}") from err
 
     def bwd(g):
+        if b.ndim == 2 and a.ndim > 2:
+            # a 2-D weight shared by every leading index: fold those axes
+            # into GEMM rows, so each gradient is one BLAS call
+            k, n = b.shape
+            g2 = g.reshape(-1, n)
+            if a.requires_grad:
+                a._accumulate((g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                b._accumulate(a.data.reshape(-1, k).T @ g2)
+            return
         if a.requires_grad:
             a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
@@ -493,8 +509,23 @@ def topn_mask_rows(scores: Tensor, n: int) -> Tensor:
 # -- reverse pass -------------------------------------------------------------
 
 
+def _released(g: np.ndarray) -> None:
+    raise RuntimeError(
+        "backward reached a graph node that an earlier backward pass already "
+        "released; rebuild the graph with a new forward pass"
+    )
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate dLoss/dLeaf into every requires_grad leaf under `loss`."""
+    """Accumulate dLoss/dLeaf into every requires_grad leaf under `loss`.
+
+    The graph is single-use: each interior node is released as soon as
+    its closure has run (its `grad` becomes None and it drops its
+    parents and closure), so intermediate gradients and activations are
+    freed during the pass. Leaf gradients are kept and accumulate across
+    passes over freshly built graphs. Running backward again through a
+    released node raises RuntimeError.
+    """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
@@ -518,9 +549,17 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     loss._accumulate(np.ones_like(loss.data))
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+    # popping drops the pass's own reference, so a node's buffers go as
+    # soon as nothing downstream of it still holds them
+    while topo:
+        node = topo.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad = None
+        node._parents = ()
+        node._backward = _released
 
 
 # -- finite-difference oracle ---------------------------------------------

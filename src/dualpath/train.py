@@ -79,11 +79,18 @@ class Adam:
         self.v = {name: np.zeros_like(t.data) for name, t in params.named().items()}
 
     def step(self) -> None:
+        """Apply one update; a non-finite gradient aborts it before any weight moves."""
+        named = self.params.named()
+        for name, t in named.items():
+            if t.grad is not None and not np.isfinite(t.grad).all():
+                raise NumericError(
+                    f"non-finite gradient for parameter {name} at optimizer step {self.step_count + 1}"
+                )
         self.step_count += 1
         cfg = self.cfg
         correction1 = 1.0 - cfg.beta1**self.step_count
         correction2 = 1.0 - cfg.beta2**self.step_count
-        for name, t in self.params.named().items():
+        for name, t in named.items():
             if t.grad is None:
                 continue
             g = t.grad

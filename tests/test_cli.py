@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,14 @@ def test_backtest_idempotent_bytes(trained_run, tmp_path):
 
 def test_backtest_missing_run_dir(tmp_path):
     assert run(["backtest", "--run", str(tmp_path / "nope")]) == 2
+
+
+def test_backtest_truncated_checkpoint_exits_2(trained_run, tmp_path):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    ckpt = run_dir / "checkpoint.bin"
+    ckpt.write_bytes(ckpt.read_bytes()[:-100])
+    assert run(["backtest", "--run", str(run_dir), "--out", str(tmp_path / "bt")]) == 2
 
 
 # -- export-attention ---------------------------------------------------------------

@@ -627,3 +627,23 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ParameterError):
         read_named_tensors(str(path))
+
+
+def test_checkpoint_truncated_rejected(tmp_path):
+    params = ModelParams.init(small_config(), seed=35)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(str(path), params)
+    raw = path.read_bytes()
+    for cut in (12, 20, len(raw) // 2, len(raw) - 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ParameterError, match="truncated"):
+            read_named_tensors(str(path))
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    params = ModelParams.init(small_config(), seed=36)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(str(path), params)
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ParameterError, match="8 trailing bytes"):
+        read_named_tensors(str(path))

@@ -57,6 +57,38 @@ def test_matmul_batched_broadcast_gradients():
     assert np.allclose(a.grad, expected_a, atol=1e-12)
 
 
+@pytest.mark.parametrize("a_shape", [(5, 3, 4), (2, 5, 3, 4)])
+@pytest.mark.parametrize("grad_a,grad_b", [(True, False), (False, True), (True, True)])
+def test_matmul_weight_fold_gradients(a_shape, grad_a, grad_b):
+    # an N-d activation times a 2-d weight: both gradients come from one
+    # row-folded GEMM each; they must match the einsum contraction
+    rng = np.random.default_rng(10)
+    a = Tensor(rng.standard_normal(a_shape), requires_grad=grad_a)
+    b = Tensor(rng.standard_normal((4, 2)), requires_grad=grad_b)
+    up = rng.standard_normal(a_shape[:-1] + (2,))
+    nm.sum_(nm.matmul(a, b) * up).backward()
+    if grad_a:
+        assert np.allclose(a.grad, np.einsum("...ij,kj->...ik", up, b.data), rtol=0, atol=1e-12)
+    else:
+        assert a.grad is None
+    if grad_b:
+        per_batch = np.einsum("...ij,...ik->...jk", a.data, up)
+        assert np.allclose(b.grad, per_batch.reshape(-1, 4, 2).sum(axis=0), rtol=0, atol=1e-12)
+    else:
+        assert b.grad is None
+
+
+def test_matmul_2d_by_batched_broadcast_gradients():
+    # the weight-fold shape test must not catch a 2-d `a` broadcast over a 3-d `b`
+    rng = np.random.default_rng(11)
+    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal((5, 4, 2)), requires_grad=True)
+    up = rng.standard_normal((5, 3, 2))
+    nm.sum_(nm.matmul(a, b) * up).backward()
+    assert np.allclose(a.grad, np.einsum("nij,nkj->ik", up, b.data), rtol=0, atol=1e-12)
+    assert np.allclose(b.grad, np.einsum("ij,nik->njk", a.data, up), rtol=0, atol=1e-12)
+
+
 def test_softmax_uniform_input():
     out = nm.softmax_lastaxis(Tensor([0.0, 0.0, 0.0]))
     assert np.allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
@@ -187,6 +219,61 @@ def test_backward_accumulates_without_reset():
     nm.sum_(x * x).backward()
     nm.sum_(x * x).backward()
     assert x.grad.tolist() == [4.0, 8.0]
+
+
+def _interior_nodes(root):
+    seen, stack, out = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            out.append(node)
+        stack.extend(node._parents)
+    return out
+
+
+def test_backward_releases_interior_nodes():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+    h = nm.tanh(nm.matmul(x, w))
+    loss = nm.sum_(h * h)
+    kept = _interior_nodes(loss)
+    assert len(kept) >= 4 and h in kept
+    loss.backward()
+    for node in kept:
+        assert node.grad is None and node._parents == ()
+    assert x.grad is not None and w.grad is not None
+
+
+def test_backward_leaf_grads_accumulate_across_fresh_graphs():
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    nm.sum_(nm.tanh(nm.matmul(x, w))).backward()
+    once = w.grad.copy(), x.grad.copy()
+    nm.sum_(nm.tanh(nm.matmul(x, w))).backward()
+    assert np.allclose(w.grad, 2 * once[0], rtol=0, atol=1e-12)
+    assert np.allclose(x.grad, 2 * once[1], rtol=0, atol=1e-12)
+
+
+def test_backward_twice_through_released_graph_raises():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    loss = nm.sum_(x * x)
+    loss.backward()
+    with pytest.raises(RuntimeError, match="released"):
+        loss.backward()
+    assert x.grad.tolist() == [2.0, 4.0]
+
+
+def test_backward_through_shared_released_subgraph_raises():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    h = x * x
+    nm.sum_(h).backward()
+    with pytest.raises(RuntimeError, match="released"):
+        nm.sum_(h * 3.0).backward()
 
 
 def test_backward_requires_scalar():

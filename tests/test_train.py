@@ -4,7 +4,7 @@ import pytest
 from dualpath.data import SplitSpec, make_windows, normalize_features, synth_market
 from dualpath.metrics import DailyScores, information_coefficient
 from dualpath.model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
-from dualpath.numerics import ParameterError, Tensor
+from dualpath.numerics import NumericError, ParameterError, Tensor
 from dualpath.train import (
     Adam,
     TrainConfig,
@@ -181,6 +181,23 @@ def test_adam_moves_every_parameter_with_gradient():
     opt.step()
     moved = [name for name, t in params.named().items() if not np.array_equal(t.data, before[name])]
     assert len(moved) == len(before)
+
+
+def test_adam_rejects_non_finite_gradient_before_any_update():
+    cfg, _ = tiny_pipeline()
+    params = ModelParams.init(cfg, seed=14)
+    opt = Adam(params, TrainConfig(epochs=1, learning_rate=1e-3))
+    named = params.named()
+    names = list(named)
+    for t in named.values():
+        t.grad = np.ones_like(t.data)
+    named[names[-1]].grad[...] = np.nan
+    before = params.state_copy()
+    with pytest.raises(NumericError, match=rf"{names[-1]}.*step 1"):
+        opt.step()
+    for name, t in params.named().items():
+        assert np.array_equal(t.data, before[name]), name
+    assert opt.step_count == 0
 
 
 def test_gradients_confined_to_allocated_parameters():

@@ -30,13 +30,7 @@ from .data import (
 )
 from .loss import LossConfig
 from .metrics import format_report
-from .model import (
-    ABLATION_FLAGS,
-    ModelConfig,
-    forward,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .model import ModelConfig, forward, load_checkpoint, save_checkpoint
 from .numerics import NumericError, ParameterError, ShapeError
 from .train import TrainConfig, ablation_suite, evaluate, sweep, train_model
 
@@ -131,11 +125,8 @@ def _as_float(section: str, key: str, value: str) -> float:
 
 
 def _parse_ablation(value: str) -> frozenset:
-    flags = frozenset(f.strip() for f in value.split(",") if f.strip())
-    unknown = flags - ABLATION_FLAGS
-    if unknown:
-        raise ConfigError(f"unknown ablation flags: {sorted(unknown)}")
-    return flags
+    """Split the comma list; ModelConfig rejects unknown flags."""
+    return frozenset(f.strip() for f in value.split(",") if f.strip())
 
 
 def build_dataset(cfg: dict[str, dict[str, str]]) -> PanelDataset:
@@ -380,10 +371,7 @@ def cmd_ablate(args) -> int:
         build_loss_config(cfg),
         top_frac=_as_float("backtest", "top_frac", cfg["backtest"]["top_frac"]),
     )
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "ablation.csv")
-    _write_rows_csv(path, rows, ["label", "IC", "A_RET", "SHARPE"])
-    _print_table(rows, ["label", "IC", "A_RET", "SHARPE"])
+    _write_table(os.path.join(args.out, "ablation.csv"), rows, ["label", "IC", "A_RET", "SHARPE"])
     return 0
 
 
@@ -400,10 +388,8 @@ def cmd_sweep(args) -> int:
         loss_cfg=build_loss_config(cfg),
         top_frac=_as_float("backtest", "top_frac", cfg["backtest"]["top_frac"]),
     )
-    os.makedirs(args.out, exist_ok=True)
     columns = ["n_layers", "n_heads", "d_model", "IC", "A_RET", "SHARPE"]
-    _write_rows_csv(os.path.join(args.out, "sweep.csv"), rows, columns)
-    _print_table(rows, columns)
+    _write_table(os.path.join(args.out, "sweep.csv"), rows, columns)
     return 0
 
 
@@ -460,12 +446,15 @@ def _parse_grid(text: str, name: str) -> list[int]:
     return values
 
 
-def _write_rows_csv(path: str, rows: list[dict], columns: list[str]) -> None:
+def _write_table(path: str, rows: list[dict], columns: list[str]) -> None:
+    """Write the result rows as CSV to `path` and print them as a table."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_cell(row[c]) for c in columns])
+    _print_table(rows, columns)
 
 
 def _cell(value) -> str:

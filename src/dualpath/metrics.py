@@ -116,7 +116,8 @@ def max_drawdown(returns: np.ndarray) -> float:
 def aggregate_metrics(returns, trading_days_per_year: int = TRADING_DAYS_PER_YEAR) -> BacktestReport:
     """Fold a daily portfolio-return series into the nine-metric report.
 
-    Volatility uses the population standard deviation. Sharpe, Calmar
+    Volatility uses the population standard deviation. Calmar is the
+    annualized return A_RET over the maximum drawdown. Sharpe, Calmar
     and the profit/loss ratio come back as None when their denominator
     (volatility, drawdown, losing days) vanishes.
     """
@@ -135,7 +136,7 @@ def aggregate_metrics(returns, trading_days_per_year: int = TRADING_DAYS_PER_YEA
     mdd = max_drawdown(r)
     mu = float(r.mean())
     sharpe = mu / sigma * math.sqrt(annual) if sigma > 0.0 else None
-    calmar = mu / mdd if mdd > 0.0 else None
+    calmar = ar / mdd if mdd > 0.0 else None
 
     wins = r[r > 0.0]
     losses = r[r < 0.0]

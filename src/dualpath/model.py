@@ -28,7 +28,8 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
@@ -125,61 +126,6 @@ class ModelConfig:
 
 
 @dataclass
-class LayerParams:
-    """Learnable tensors of one encoder layer; unused slots stay None."""
-
-    imp_w1: Tensor | None = None
-    imp_b1: Tensor | None = None
-    imp_w2: Tensor | None = None
-    imp_b2: Tensor | None = None
-    w_q: Tensor | None = None
-    w_k: Tensor | None = None
-    w_v: Tensor | None = None
-    w_o: Tensor | None = None
-    res_w: Tensor | None = None
-    res_b: Tensor | None = None
-    ln1_g: Tensor | None = None
-    ln1_b: Tensor | None = None
-    ffd1_w1: Tensor | None = None
-    ffd1_b1: Tensor | None = None
-    ffd1_w2: Tensor | None = None
-    ffd1_b2: Tensor | None = None
-    ln2_g: Tensor | None = None
-    ln2_b: Tensor | None = None
-    fus_wq: Tensor | None = None
-    fus_wk: Tensor | None = None
-    fus_wqi: Tensor | None = None
-    fus_wki: Tensor | None = None
-    qg_feat: Tensor | None = None
-    kg_feat: Tensor | None = None
-    qg_temp: Tensor | None = None
-    kg_temp: Tensor | None = None
-    vg: Tensor | None = None
-    ws_f: Tensor | None = None
-    bs_f: Tensor | None = None
-    ws_t: Tensor | None = None
-    bs_t: Tensor | None = None
-    wm: Tensor | None = None
-    ln_dpa_g: Tensor | None = None
-    ln_dpa_b: Tensor | None = None
-    ffd2_w1: Tensor | None = None
-    ffd2_b1: Tensor | None = None
-    ffd2_w2: Tensor | None = None
-    ffd2_b2: Tensor | None = None
-    ln3_g: Tensor | None = None
-    ln3_b: Tensor | None = None
-
-
-@dataclass
-class DecoderParams:
-    w_token: Tensor | None = None
-    w_mean: Tensor | None = None
-    b_mean: Tensor | None = None
-    w_dev: Tensor | None = None
-    b_dev: Tensor | None = None
-
-
-@dataclass
 class AttentionMaps:
     """Per-layer node-to-node attention matrices, averaged over heads.
 
@@ -269,22 +215,38 @@ def _decoder_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str
     ]
 
 
+def _sections(config: ModelConfig) -> list[tuple[str, list[tuple[str, tuple[int, ...], str]]]]:
+    """(name prefix, local layout) of each encoder layer, then of the decoder."""
+    out = [(f"enc{i}.", _layer_layout(config, i)) for i in range(config.n_layers)]
+    return out + [("dec.", _decoder_layout(config))]
+
+
 def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """Canonical (name, shape, init) list; also the checkpoint ordering."""
-    out: list[tuple[str, tuple[int, ...], str]] = []
-    for i in range(config.n_layers):
-        out += [(f"enc{i}.{name}", shape, kind) for name, shape, kind in _layer_layout(config, i)]
-    out += [(f"dec.{name}", shape, kind) for name, shape, kind in _decoder_layout(config)]
-    return out
+    return [
+        (prefix + name, shape, kind)
+        for prefix, layout in _sections(config)
+        for name, shape, kind in layout
+    ]
 
 
 class ModelParams:
-    """All learnable weights, addressable by layer struct or flat name."""
+    """All learnable weights as one name -> Tensor dict in layout order.
 
-    def __init__(self, config: ModelConfig, layers: list[LayerParams], decoder: DecoderParams):
+    `layers[i]` and `decoder` are attribute views (`lp.w_q`) over the
+    same Tensor objects; a name the config's layout omits is absent.
+    """
+
+    def __init__(self, config: ModelConfig, named: dict[str, Tensor]):
         self.config = config
-        self.layers = layers
-        self.decoder = decoder
+        self._named: dict[str, Tensor] = {}
+        views = []
+        for prefix, layout in _sections(config):
+            local = {name: named[prefix + name] for name, _, _ in layout}
+            self._named.update((prefix + name, t) for name, t in local.items())
+            views.append(SimpleNamespace(**local))
+        self.layers = views[:-1]
+        self.decoder = views[-1]
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "ModelParams":
@@ -292,9 +254,7 @@ class ModelParams:
         named: dict[str, Tensor] = {}
         for name, shape, kind in parameter_layout(config):
             if kind == "xavier":
-                fan_in = shape[0] if len(shape) > 1 else shape[0]
-                fan_out = shape[1] if len(shape) > 1 else shape[0]
-                data = xavier_uniform(rng, fan_in, fan_out, shape)
+                data = xavier_uniform(rng, shape[0], shape[1], shape)
             elif kind == "ones":
                 data = np.ones(shape)
             else:
@@ -311,6 +271,7 @@ class ModelParams:
 
     @classmethod
     def from_named(cls, config: ModelConfig, named: dict[str, Tensor]) -> "ModelParams":
+        """Validate names, shapes and values of an outside parameter set (any order)."""
         layout = parameter_layout(config)
         expected = {name for name, _, _ in layout}
         missing = expected - named.keys()
@@ -325,33 +286,14 @@ class ModelParams:
                 raise ShapeError(f"parameter {name} has shape {t.shape}, expected {shape}")
             if not np.isfinite(t.data).all():
                 raise NumericError(f"parameter {name} contains non-finite values")
-        layers = []
-        for i in range(config.n_layers):
-            prefix = f"enc{i}."
-            kwargs = {
-                name[len(prefix):]: t for name, t in named.items() if name.startswith(prefix)
-            }
-            layers.append(LayerParams(**kwargs))
-        decoder = DecoderParams(
-            **{name[4:]: t for name, t in named.items() if name.startswith("dec.")}
-        )
-        return cls(config, layers, decoder)
+        return cls(config, named)
 
     def named(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, lp in enumerate(self.layers):
-            for f in dc_fields(lp):
-                t = getattr(lp, f.name)
-                if t is not None:
-                    out[f"enc{i}.{f.name}"] = t
-        for f in dc_fields(self.decoder):
-            t = getattr(self.decoder, f.name)
-            if t is not None:
-                out[f"dec.{f.name}"] = t
-        return out
+        """The live name -> Tensor dict, in layout order; callers must not mutate it."""
+        return self._named
 
     def tensors(self) -> Iterator[Tensor]:
-        yield from self.named().values()
+        yield from self._named.values()
 
     def zero_grads(self) -> None:
         for t in self.tensors():
@@ -359,21 +301,17 @@ class ModelParams:
 
     def detached(self) -> "ModelParams":
         """Same weights, no gradient recording; for evaluation passes."""
-        named = {name: Tensor(t.data) for name, t in self.named().items()}
+        named = {name: Tensor(t.data) for name, t in self._named.items()}
         return ModelParams.from_named(self.config, named)
 
     def state_copy(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named().items()}
+        return {name: t.data.copy() for name, t in self._named.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        named = self.named()
-        if named.keys() != state.keys():
+        if self._named.keys() != state.keys():
             raise ParameterError("state dict does not match parameter layout")
-        for name, t in named.items():
+        for name, t in self._named.items():
             t.data[...] = state[name]
-
-    def n_scalars(self) -> int:
-        return sum(t.size for t in self.tensors())
 
 
 # -- forward operations ---------------------------------------------------
@@ -386,7 +324,7 @@ def invert_tokens(x: Tensor) -> Tensor:
     return transpose_last2(x)
 
 
-def importance_weights(x_inv: Tensor, lp: LayerParams) -> tuple[Tensor, Tensor]:
+def importance_weights(x_inv: Tensor, lp: SimpleNamespace) -> tuple[Tensor, Tensor]:
     """Score each feature token, softmax per node, splice weight onto token.
 
     Returns (w, x_aug) with w summing to 1 over features for every node
@@ -412,7 +350,7 @@ def _merge_heads(x: Tensor) -> Tensor:
     return reshape(permute(x, (0, 2, 1, 3)), (n, f, h * dh))
 
 
-def temporal_self_attention(x_aug: Tensor, lp: LayerParams, n_heads: int) -> Tensor:
+def temporal_self_attention(x_aug: Tensor, lp: SimpleNamespace, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over each node's feature tokens."""
     q = _split_heads(matmul(x_aug, lp.w_q), n_heads)
     k = _split_heads(matmul(x_aug, lp.w_k), n_heads)
@@ -426,7 +364,7 @@ def _ffd(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return matmul(relu(matmul(x, w1) + b1), w2) + b2
 
 
-def encode_temporal(x: Tensor, lp: LayerParams, config: ModelConfig, layer_index: int) -> Tensor:
+def encode_temporal(x: Tensor, lp: SimpleNamespace, config: ModelConfig, layer_index: int) -> Tensor:
     """Inverted temporal block: N x T x F input (layer 0) or N x F x d tokens.
 
     With no_itblock the whole block collapses to a per-token affine
@@ -453,7 +391,7 @@ def encode_temporal(x: Tensor, lp: LayerParams, config: ModelConfig, layer_index
 
 def double_direction_fusion(
     z_i: Tensor,
-    lp: LayerParams,
+    lp: SimpleNamespace,
     want_temporal: bool = True,
     want_feature: bool = True,
 ) -> tuple[Tensor | None, Tensor | None]:
@@ -523,7 +461,7 @@ def ncorr_attention(
 def dp_gate(
     o_feat: Tensor | None,
     o_temp: Tensor | None,
-    lp: LayerParams,
+    lp: SimpleNamespace,
     ablation: frozenset = frozenset(),
 ) -> Tensor:
     """Blend the two path encodings through self- and mutual-passing gates."""
@@ -541,7 +479,7 @@ def dp_gate(
     return gated_feat * mix + gated_temp * (1.0 - mix)
 
 
-def decode(m: Tensor, dec: DecoderParams) -> tuple[Tensor, Tensor, Tensor]:
+def decode(m: Tensor, dec: SimpleNamespace) -> tuple[Tensor, Tensor, Tensor]:
     """Pool feature tokens, predict mean plus bounded exponential deviation."""
     n, f, _ = m.shape
     token_w = softmax_lastaxis(reshape(matmul(m, dec.w_token), (n, f)))

@@ -50,7 +50,6 @@ __all__ = [
     "take_lastaxis",
     "tanh",
     "topn_keep_mask",
-    "topn_mask_rows",
     "transpose_last2",
 ]
 
@@ -158,9 +157,6 @@ class Tensor:
     def __neg__(self):
         return _neg(self)
 
-    def __pow__(self, p):
-        return _pow(self, float(p))
-
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
 
@@ -245,15 +241,6 @@ def _div(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(data, (a, b), bwd)
-
-
-def _pow(a: Tensor, p: float) -> Tensor:
-    data = a.data**p
-
-    def bwd(g):
-        a._accumulate(g * p * a.data ** (p - 1.0))
-
-    return _make(data, (a,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -496,14 +483,6 @@ def apply_row_mask(x: Tensor, keep: np.ndarray) -> Tensor:
         x._accumulate(g * keep)
 
     return _make(data, (x,), bwd)
-
-
-def topn_mask_rows(scores: Tensor, n: int) -> Tensor:
-    """Keep the n largest entries of each row, sending the rest to NEG_INF."""
-    scores = _wrap(scores)
-    if scores.ndim < 2:
-        raise ShapeError(f"topn_mask_rows needs >=2-d input, got shape {scores.shape}")
-    return apply_row_mask(scores, topn_keep_mask(scores.data, n))
 
 
 # -- reverse pass -------------------------------------------------------------

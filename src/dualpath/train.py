@@ -232,14 +232,25 @@ def _config_dict(cfg: ModelConfig) -> dict:
     return out
 
 
-ABLATION_ROWS = (
-    ("full", None),
-    ("no_dpgate", "no_dpgate"),
-    ("no_temporal_path", "no_temporal_path"),
-    ("no_feature_path", "no_feature_path"),
-    ("no_itblock", "no_itblock"),
-    ("no_importance", "no_importance"),
-)
+# row labels of the ablation table; every label but "full" is the one flag it sets
+ABLATION_ROWS = ("full", "no_dpgate", "no_temporal_path", "no_feature_path", "no_itblock", "no_importance")
+
+
+def _train_and_test(
+    splits: tuple[list[WindowSample], list[WindowSample], list[WindowSample]],
+    runs: list[tuple[dict, ModelConfig]],
+    train_cfg: TrainConfig,
+    loss_cfg: LossConfig,
+    top_frac: float,
+) -> list[dict]:
+    """Train and test-evaluate each (row label, config) on the same splits and seed."""
+    train_samples, val_samples, test_samples = splits
+    rows = []
+    for label, cfg in runs:
+        params, _ = train_model(train_samples, val_samples, cfg, train_cfg, loss_cfg)
+        report = evaluate(params, cfg, test_samples, top_frac)
+        rows.append({**label, "IC": report.ic, "A_RET": report.ar, "SHARPE": report.sharpe})
+    return rows
 
 
 def ablation_suite(
@@ -254,17 +265,11 @@ def ablation_suite(
     Every row shares the data, seed and budget of the base run and
     differs from it only in the single named flag.
     """
-    train_samples, val_samples, test_samples = splits
-    rows = []
-    for label, flag in ABLATION_ROWS:
-        ablation = frozenset() if flag is None else frozenset({flag})
-        cfg = replace(model_cfg, ablation=ablation)
-        params, _ = train_model(train_samples, val_samples, cfg, train_cfg, loss_cfg)
-        report = evaluate(params, cfg, test_samples, top_frac)
-        rows.append(
-            {"label": label, "IC": report.ic, "A_RET": report.ar, "SHARPE": report.sharpe}
-        )
-    return rows
+    runs = [
+        ({"label": label}, replace(model_cfg, ablation=set() if label == "full" else {label}))
+        for label in ABLATION_ROWS
+    ]
+    return _train_and_test(splits, runs, train_cfg, loss_cfg, top_frac)
 
 
 def sweep(
@@ -278,27 +283,16 @@ def sweep(
     top_frac: float = 0.1,
 ) -> list[dict]:
     """One run per (n_layers, n_heads, d_model) grid point, same data and seed."""
-    train_samples, val_samples, test_samples = splits
-    rows = []
-    for n_layers in layer_grid:
-        for n_heads in head_grid:
-            for d_model in dim_grid:
-                cfg = replace(
-                    model_cfg, n_layers=n_layers, n_heads=n_heads, d_model=d_model, ffd_hidden=None
-                )
-                params, _ = train_model(train_samples, val_samples, cfg, train_cfg, loss_cfg)
-                report = evaluate(params, cfg, test_samples, top_frac)
-                rows.append(
-                    {
-                        "n_layers": n_layers,
-                        "n_heads": n_heads,
-                        "d_model": d_model,
-                        "IC": report.ic,
-                        "A_RET": report.ar,
-                        "SHARPE": report.sharpe,
-                    }
-                )
-    return rows
+    runs = [
+        (
+            {"n_layers": n_layers, "n_heads": n_heads, "d_model": d_model},
+            replace(model_cfg, n_layers=n_layers, n_heads=n_heads, d_model=d_model, ffd_hidden=None),
+        )
+        for n_layers in layer_grid
+        for n_heads in head_grid
+        for d_model in dim_grid
+    ]
+    return _train_and_test(splits, runs, train_cfg, loss_cfg, top_frac)
 
 
 def model_grad_check(

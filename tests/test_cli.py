@@ -130,6 +130,12 @@ def test_train_rejects_invalid_flag_combination(tmp_path, capsys):
     assert "path" in capsys.readouterr().err
 
 
+def test_train_rejects_unknown_ablation_flag(tmp_path, capsys):
+    code = run(["train", "--out", str(tmp_path / "run")] + set_args(["model.ablation=no_such_flag"]))
+    assert code == 2
+    assert "unknown ablation flags: ['no_such_flag']" in capsys.readouterr().err
+
+
 def test_train_rejects_unknown_config_key(tmp_path):
     code = run(["train", "--out", str(tmp_path / "run")] + ["--set", "model.widht=8"])
     assert code == 2

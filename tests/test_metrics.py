@@ -119,6 +119,8 @@ def test_hand_walked_example():
     assert abs(report.winr - 2 / 3) < 1e-12
     assert abs(report.pl_ratio - 0.375) < 1e-12
     assert abs(report.ar - 240 / 3 * (-0.05)) < 1e-12
+    # Calmar is annualized return over drawdown: -4.0 / 0.2
+    assert abs(report.calmar - (-20.0)) < 1e-12
 
 
 def test_sign_flip_symmetry():

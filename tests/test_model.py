@@ -5,6 +5,7 @@ import pytest
 
 from dualpath import numerics as nm
 from dualpath.model import (
+    ABLATION_FLAGS,
     ModelConfig,
     ModelParams,
     decode,
@@ -16,9 +17,11 @@ from dualpath.model import (
     invert_tokens,
     load_checkpoint,
     ncorr_attention,
+    parameter_layout,
     read_named_tensors,
     save_checkpoint,
     temporal_self_attention,
+    write_named_tensors,
 )
 from dualpath.numerics import NumericError, ParameterError, ShapeError, Tensor
 
@@ -590,6 +593,27 @@ def test_ablated_layouts_have_no_orphan_parameters():
     assert any("res_w" in n for n in no_it)
 
 
+@pytest.mark.parametrize("flag", [None, *sorted(ABLATION_FLAGS)])
+def test_named_follows_parameter_layout(flag):
+    cfg = small_config(n_layers=2, ablation={flag} if flag else set())
+    params = ModelParams.init(cfg, seed=0)
+    layout_names = [name for name, _, _ in parameter_layout(cfg)]
+    assert list(params.named()) == layout_names
+    assert list(params.detached().named()) == layout_names
+
+
+def test_layer_views_share_the_named_tensors():
+    params = ModelParams.init(small_config(n_layers=2), seed=0)
+    named = params.named()
+    assert params.layers[0].w_q is named["enc0.w_q"]
+    assert params.layers[1].vg is named["enc1.vg"]
+    assert params.decoder.w_dev is named["dec.w_dev"]
+    assert list(params.tensors()) == list(named.values())
+    # the importance MLP exists in layer 0 only
+    assert hasattr(params.layers[0], "imp_w1")
+    assert not hasattr(params.layers[1], "imp_w1")
+
+
 # -- checkpoint --------------------------------------------------------------
 
 
@@ -647,3 +671,23 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(ParameterError, match="8 trailing bytes"):
         read_named_tensors(str(path))
+
+
+def test_checkpoint_in_older_tensor_order_loads_and_scores_identically(tmp_path):
+    # earlier checkpoints stored the fusion maps as fus_wq, fus_wk, fus_wqi, fus_wki
+    cfg = small_config()
+    params = ModelParams.init(cfg, seed=37)
+    names = list(params.named())
+    i = names.index("enc0.fus_wq")
+    assert names[i : i + 4] == ["enc0.fus_wq", "enc0.fus_wki", "enc0.fus_wqi", "enc0.fus_wk"]
+    names[i : i + 4] = ["enc0.fus_wq", "enc0.fus_wk", "enc0.fus_wqi", "enc0.fus_wki"]
+    path = str(tmp_path / "older.bin")
+    write_named_tensors(path, {name: params.named()[name].data for name in names})
+    assert list(read_named_tensors(path)) == names
+
+    loaded = load_checkpoint(path, cfg)
+    assert list(loaded.named()) == [name for name, _, _ in parameter_layout(cfg)]
+    x = np.random.default_rng(37).standard_normal((4, 6, 3))
+    expected, _ = forward(x, params, cfg)
+    got, _ = forward(x, loaded, cfg)
+    assert np.array_equal(got.data, expected.data)

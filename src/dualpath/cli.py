@@ -85,17 +85,22 @@ def load_config(path: str | None, overrides: list[str]) -> dict[str, dict[str, s
     base_dir = "."
     if path:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
-        base_dir = os.path.dirname(os.path.abspath(path))
-        for section in parser.sections():
-            if section not in merged:
-                raise ConfigError(f"{path}: unknown config section [{section}]")
-            for key, value in parser.items(section):
-                if key not in merged[section]:
-                    raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
-                merged[section][key] = value
+        try:
+            read = parser.read(path)
+            if not read:
+                raise ConfigError(f"cannot read config file {path}")
+            base_dir = os.path.dirname(os.path.abspath(path))
+            for section in parser.sections():
+                if section not in merged:
+                    raise ConfigError(f"{path}: unknown config section [{section}]")
+                for key, value in parser.items(section):
+                    if key not in merged[section]:
+                        raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
+                    merged[section][key] = value
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not UTF-8 text") from None
+        except configparser.Error as err:
+            raise ConfigError(f"malformed config file {path}: {' '.join(str(err).split())}") from None
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override {item!r} must look like section.key=value")

@@ -111,60 +111,65 @@ def load_panel_csv(path: str, schema: CsvSchema = CsvSchema()) -> PanelDataset:
     anything worse is rejected. Targets are never filled: a missing
     target stays NaN and the day is simply not used as a window anchor.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParameterError(f"{path}: empty file") from None
-        for col in (schema.date_col, schema.node_col, schema.target_col):
-            if col not in header:
-                raise ParameterError(f"{path}: missing required column {col!r}")
-        if schema.feature_cols is None:
-            feature_names = [
-                c for c in header if c not in (schema.date_col, schema.node_col, schema.target_col)
-            ]
-        else:
-            feature_names = list(schema.feature_cols)
-            for col in feature_names:
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParameterError(f"{path}: empty file") from None
+            for col in (schema.date_col, schema.node_col, schema.target_col):
                 if col not in header:
-                    raise ParameterError(f"{path}: missing feature column {col!r}")
-        idx = {c: header.index(c) for c in header}
-        f_idx = [idx[c] for c in feature_names]
-        d_idx, n_idx, t_idx = idx[schema.date_col], idx[schema.node_col], idx[schema.target_col]
-
-        cells: dict[tuple[str, str], tuple[np.ndarray, float]] = {}
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            line = reader.line_num
-            if len(row) != len(header):
-                raise ParameterError(f"{path}:{line}: expected {len(header)} columns, got {len(row)}")
-            date, node = row[d_idx].strip(), row[n_idx].strip()
-            key = (date, node)
-            if key in cells:
-                raise ParameterError(f"{path}:{line}: duplicate row for date={date} node={node}")
-            feats = np.empty(len(feature_names))
-            for j, col in enumerate(f_idx):
-                text = row[col].strip()
-                if text == "":
-                    feats[j] = np.nan
-                    continue
-                try:
-                    feats[j] = float(text)
-                except ValueError:
-                    raise ParameterError(
-                        f"{path}:{line}: cannot parse {feature_names[j]}={row[col]!r}"
-                    ) from None
-            text = row[t_idx].strip()
-            if text == "":
-                target = np.nan
+                    raise ParameterError(f"{path}: missing required column {col!r}")
+            if schema.feature_cols is None:
+                feature_names = [
+                    c for c in header if c not in (schema.date_col, schema.node_col, schema.target_col)
+                ]
             else:
-                try:
-                    target = float(text)
-                except ValueError:
-                    raise ParameterError(f"{path}:{line}: cannot parse target={row[t_idx]!r}") from None
-            cells[key] = (feats, target)
+                feature_names = list(schema.feature_cols)
+                for col in feature_names:
+                    if col not in header:
+                        raise ParameterError(f"{path}: missing feature column {col!r}")
+            idx = {c: header.index(c) for c in header}
+            f_idx = [idx[c] for c in feature_names]
+            d_idx, n_idx, t_idx = idx[schema.date_col], idx[schema.node_col], idx[schema.target_col]
+
+            cells: dict[tuple[str, str], tuple[np.ndarray, float]] = {}
+            for row in reader:
+                if not row or all(not c.strip() for c in row):
+                    continue
+                line = reader.line_num
+                if len(row) != len(header):
+                    raise ParameterError(f"{path}:{line}: expected {len(header)} columns, got {len(row)}")
+                date, node = row[d_idx].strip(), row[n_idx].strip()
+                key = (date, node)
+                if key in cells:
+                    raise ParameterError(f"{path}:{line}: duplicate row for date={date} node={node}")
+                feats = np.empty(len(feature_names))
+                for j, col in enumerate(f_idx):
+                    text = row[col].strip()
+                    if text == "":
+                        feats[j] = np.nan
+                        continue
+                    try:
+                        feats[j] = float(text)
+                    except ValueError:
+                        raise ParameterError(
+                            f"{path}:{line}: cannot parse {feature_names[j]}={row[col]!r}"
+                        ) from None
+                text = row[t_idx].strip()
+                if text == "":
+                    target = np.nan
+                else:
+                    try:
+                        target = float(text)
+                    except ValueError:
+                        raise ParameterError(f"{path}:{line}: cannot parse target={row[t_idx]!r}") from None
+                cells[key] = (feats, target)
+    except UnicodeDecodeError:
+        raise ParameterError(f"{path}: not UTF-8 text") from None
+    except csv.Error as err:
+        raise ParameterError(f"{path}:{reader.line_num}: {err}") from None
 
     if not cells:
         raise ParameterError(f"{path}: no data rows")

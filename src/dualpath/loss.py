@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ParameterError, ShapeError, Tensor, mean, sqrt, sum_, take_lastaxis
+from .numerics import ParameterError, ShapeError, Tensor, mean, sqrt, sum_, transpose_last2
 
 
 @dataclass(frozen=True)
@@ -36,38 +36,36 @@ def _pair(y_hat, y) -> tuple[Tensor, Tensor]:
 
 
 def mse(y_hat, y) -> Tensor:
-    """Mean squared error over every element of the N x t panel."""
+    """Mean squared error over every element of an N x t or days x N x t panel."""
     y_hat, y = _pair(y_hat, y)
     diff = y_hat - y
     return mean(diff * diff)
 
 
 def pearson_loss(y_hat, y, eps: float = 1e-8) -> Tensor:
-    """Negative Pearson correlation across nodes, averaged over horizon steps.
+    """Negative Pearson correlation across nodes, averaged over horizon steps
+    (and over days, for a days x N x t stack).
 
     A step where either side's variance falls below `eps` contributes 0
     instead of dividing by (near) zero.
     """
     y_hat, y = _pair(y_hat, y)
-    if y_hat.ndim != 2:
-        raise ShapeError(f"expected N x t inputs, got shape {y_hat.shape}")
-    n, t = y_hat.shape
+    if y_hat.ndim not in (2, 3):
+        raise ShapeError(f"expected N x t or days x N x t inputs, got shape {y_hat.shape}")
+    n = y_hat.shape[-2]
     if n < 2:
         raise ParameterError(f"Pearson loss needs at least 2 nodes, got {n}")
 
-    total = Tensor(0.0)
-    for step in range(t):
-        a = take_lastaxis(y_hat, step)
-        b = take_lastaxis(y, step)
-        var_a = float(np.var(a.data))
-        var_b = float(np.var(b.data))
-        if var_a < eps or var_b < eps:
-            continue
-        ac = a - mean(a)
-        bc = b - mean(b)
-        r = sum_(ac * bc) / (sqrt(sum_(ac * ac)) * sqrt(sum_(bc * bc)))
-        total = total - r
-    return total * (1.0 / t)
+    # nodes last, so each (day, step) pair reduces one contiguous row
+    a = transpose_last2(y_hat)
+    b = transpose_last2(y)
+    keep = (np.var(a.data, axis=-1) >= eps) & (np.var(b.data, axis=-1) >= eps)
+    # a dropped row's ratio is discarded; the +1 keeps it and its gradient finite
+    drop = (~keep).astype(np.float64)
+    ac = a - mean(a, axis=-1, keepdims=True)
+    bc = b - mean(b, axis=-1, keepdims=True)
+    r = sum_(ac * bc, axis=-1) / (sqrt(sum_(ac * ac, axis=-1) + drop) * sqrt(sum_(bc * bc, axis=-1) + drop))
+    return sum_(r * keep) * (-1.0 / r.size)
 
 
 def total_loss(y_hat, y, cfg: LossConfig = LossConfig()) -> Tensor:

@@ -47,7 +47,6 @@ __all__ = [
     "softmax_lastaxis",
     "sqrt",
     "sum_",
-    "take_lastaxis",
     "tanh",
     "topn_keep_mask",
     "transpose_last2",
@@ -156,20 +155,6 @@ class Tensor:
 
     def __neg__(self):
         return _neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 def _wrap(value) -> Tensor:
@@ -316,20 +301,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
                 t._accumulate(piece)
 
     return _make(data, tensors, bwd)
-
-
-def take_lastaxis(x: Tensor, index: int) -> Tensor:
-    """Select one slice along the last axis, dropping that axis."""
-    if not -x.shape[-1] <= index < x.shape[-1]:
-        raise ParameterError(f"index {index} out of range for last axis {x.shape[-1]}")
-    data = np.ascontiguousarray(x.data[..., index])
-
-    def bwd(g):
-        full = np.zeros_like(x.data)
-        full[..., index] = g
-        x._accumulate(full)
-
-    return _make(data, (x,), bwd)
 
 
 # -- reductions ---------------------------------------------------------------

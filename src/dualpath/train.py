@@ -101,20 +101,21 @@ class Adam:
             t.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
 
 
-def predict_scores(params: ModelParams, config: ModelConfig, samples: list[WindowSample]) -> list[DailyScores]:
-    """Forward every sample without recording gradients; first-step scores."""
+def predict(params: ModelParams, config: ModelConfig, samples: list[WindowSample]) -> np.ndarray:
+    """Forward every sample without recording gradients; days x nodes x horizon."""
+    if not samples:
+        return np.empty((0, config.n_nodes, config.horizon))
     frozen = params.detached()
-    out = []
-    for sample in samples:
-        y_hat, _ = forward(sample.x, frozen, config)
-        out.append(
-            DailyScores(
-                day_index=sample.day_index,
-                scores=y_hat.data[:, 0].copy(),
-                realized_returns=sample.y[:, 0].copy(),
-            )
-        )
-    return out
+    return np.stack([forward(sample.x, frozen, config)[0].data for sample in samples])
+
+
+def predict_scores(params: ModelParams, config: ModelConfig, samples: list[WindowSample]) -> list[DailyScores]:
+    """First-step scores and realized returns of every sample."""
+    return _first_step_scores(samples, predict(params, config, samples))
+
+
+def _first_step_scores(samples: list[WindowSample], y_hat: np.ndarray) -> list[DailyScores]:
+    return [DailyScores(s.day_index, p[:, 0].copy(), s.y[:, 0].copy()) for s, p in zip(samples, y_hat)]
 
 
 def evaluate(
@@ -135,16 +136,9 @@ def _mean_val_metrics(
     samples: list[WindowSample],
     loss_cfg: LossConfig,
 ) -> tuple[float, float]:
-    frozen = params.detached()
-    days = []
-    losses = []
-    for sample in samples:
-        y_hat, _ = forward(sample.x, frozen, config)
-        losses.append(total_loss(y_hat, Tensor(sample.y), loss_cfg).item())
-        days.append(
-            DailyScores(sample.day_index, y_hat.data[:, 0].copy(), sample.y[:, 0].copy())
-        )
-    return float(np.mean(losses)), information_coefficient(days)
+    y_hat = predict(params, config, samples)
+    loss = total_loss(y_hat, np.stack([sample.y for sample in samples]), loss_cfg).item()
+    return loss, information_coefficient(_first_step_scores(samples, y_hat))
 
 
 def train_model(

@@ -72,6 +72,38 @@ def test_load_config_bad_override():
         load_config(None, ["model.width=64"])
 
 
+MALFORMED_CONFIGS = {
+    "no_section_header": b"epochs=3\n",
+    "duplicate_key": b"[train]\nepochs=3\nepochs=4\n",
+    "non_utf8": b"[train]\nepochs=3\n# caf\xe9\n",
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+def test_train_malformed_config_file_exits_2(tmp_path, capsys, body):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(body)
+    assert run(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
+
+
+MALFORMED_CSVS = {
+    "non_utf8": b"date,node_id,f1,target\n0,caf\xe9,1.0,0.01\n",
+    "oversized_field": b"date,node_id,f1,target\n0,aa," + b"1" * 131_073 + b",0.01\n",
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED_CSVS.values(), ids=MALFORMED_CSVS.keys())
+def test_train_malformed_csv_exits_2(tmp_path, capsys, body):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(body)
+    argv = ["train", "--out", str(tmp_path / "run"), "--set", "data.source=csv", "--set", f"data.csv={path}"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
+
+
 # -- gen-data -------------------------------------------------------------------
 
 
@@ -205,6 +237,15 @@ def test_backtest_truncated_checkpoint_exits_2(trained_run, tmp_path):
     ckpt = run_dir / "checkpoint.bin"
     ckpt.write_bytes(ckpt.read_bytes()[:-100])
     assert run(["backtest", "--run", str(run_dir), "--out", str(tmp_path / "bt")]) == 2
+
+
+def test_backtest_malformed_run_config_exits_2(trained_run, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    (run_dir / "config.ini").write_text("[train]\nepochs=3\nepochs=4\n")
+    assert run(["backtest", "--run", str(run_dir), "--out", str(tmp_path / "bt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "config.ini" in err
 
 
 # -- export-attention ---------------------------------------------------------------

@@ -107,6 +107,22 @@ def test_ingest_excludes_mostly_missing_node_with_warning(tmp_path):
     assert ds.node_ids == ["aa"]
 
 
+def test_ingest_non_utf8_bytes_rejected(tmp_path):
+    p = tmp_path / "panel.csv"
+    p.write_bytes(b"date,node_id,f1,f2,target\n0,aa,1.0,2.0,0.01\n0,caf\xe9,1.0,2.0,0.01\n")
+    with pytest.raises(ParameterError) as err:
+        load_panel_csv(str(p))
+    assert str(p) in str(err.value)
+
+
+def test_ingest_oversized_field_names_line(tmp_path):
+    p = tmp_path / "panel.csv"
+    write_csv(p, ["0,aa,1.0,2.0,0.01", "0,bb," + "1" * 131_073 + ",2.0,0.01"])
+    with pytest.raises(ParameterError) as err:
+        load_panel_csv(str(p))
+    assert f"{p}:3:" in str(err.value)
+
+
 def test_ingest_missing_required_column(tmp_path):
     p = tmp_path / "panel.csv"
     p.write_text("date,node_id,f1\n0,aa,1.0\n")

@@ -114,6 +114,45 @@ def test_total_loss_gradient_matches_fd():
     assert report.max_rel_err < 1e-5
 
 
+def _day_stack(seed):
+    rng = np.random.default_rng(seed)
+    y_hat = rng.standard_normal((3, 6, 2))
+    y = rng.standard_normal((3, 6, 2))
+    y_hat[1, :, 0] = 0.0  # one (day, step) row with exactly zero variance
+    return y_hat, y
+
+
+@pytest.mark.parametrize("loss", [pearson_loss, total_loss, mse])
+def test_day_stack_is_mean_of_per_day_values(loss):
+    y_hat, y = _day_stack(11)
+    stacked = loss(Tensor(y_hat), Tensor(y)).item()
+    per_day = [loss(Tensor(y_hat[d]), Tensor(y[d])).item() for d in range(3)]
+    assert abs(stacked - np.mean(per_day)) < 1e-12
+
+
+def test_total_loss_day_stack_gradient_matches_fd():
+    y_hat, y = _day_stack(12)
+    target = Tensor(y)
+    report = nm.grad_check(lambda t: total_loss(t, target), Tensor(y_hat))
+    assert report.max_rel_err < 1e-5
+
+
+def test_zero_variance_row_gradient_is_mse_only():
+    y_hat, y = _day_stack(13)
+    leaf = Tensor(y_hat, requires_grad=True)
+    total_loss(leaf, Tensor(y)).backward()
+    assert np.isfinite(leaf.grad).all()
+    mse_grad = 0.1 * 2.0 * (y_hat - y) / y_hat.size
+    assert np.allclose(leaf.grad[1, :, 0], mse_grad[1, :, 0], rtol=0.0, atol=1e-15)
+
+
+def test_pearson_rejects_other_ranks():
+    with pytest.raises(ShapeError):
+        pearson_loss(Tensor(np.zeros(4)), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        pearson_loss(Tensor(np.zeros((2, 2, 3, 1))), Tensor(np.zeros((2, 2, 3, 1))))
+
+
 def test_loss_config_validation():
     with pytest.raises(ParameterError):
         LossConfig(lambda_m=-0.1)

@@ -3,13 +3,14 @@ import pytest
 
 from dualpath.data import SplitSpec, make_windows, normalize_features, synth_market
 from dualpath.metrics import DailyScores, information_coefficient
-from dualpath.model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
+from dualpath.model import ModelConfig, ModelParams, forward, load_checkpoint, save_checkpoint
 from dualpath.numerics import NumericError, ParameterError, Tensor
 from dualpath.train import (
     Adam,
     TrainConfig,
     ablation_suite,
     evaluate,
+    predict,
     predict_scores,
     sweep,
     train_model,
@@ -153,6 +154,22 @@ def test_evaluate_matches_scores_pipeline():
     days = predict_scores(params, cfg, splits[2])
     report = evaluate(params, cfg, splits[2], top_frac=0.3)
     assert abs(report.ic - information_coefficient(days)) < 1e-15
+
+
+def test_predict_stacks_per_day_forward_bitwise():
+    cfg, splits = tiny_pipeline(horizon=2)
+    params = ModelParams.init(cfg, seed=15)
+    stacked = predict(params, cfg, splits[2])
+    assert stacked.shape == (len(splits[2]), cfg.n_nodes, 2)
+    for day, sample in zip(stacked, splits[2]):
+        assert np.array_equal(day, forward(sample.x, params, cfg)[0].data)
+
+
+def test_predict_of_no_samples_is_empty():
+    cfg, _ = tiny_pipeline()
+    params = ModelParams.init(cfg, seed=16)
+    assert predict(params, cfg, []).shape == (0, cfg.n_nodes, cfg.horizon)
+    assert predict_scores(params, cfg, []) == []
 
 
 def test_checkpoint_round_trip_evaluation_identical(tmp_path):

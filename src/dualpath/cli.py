@@ -84,7 +84,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict[str, dict[str, s
     merged = {section: dict(values) for section, values in DEFAULTS.items()}
     base_dir = "."
     if path:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             read = parser.read(path)
             if not read:
@@ -212,7 +212,7 @@ def prepare_pipeline(cfg: dict[str, dict[str, str]]):
 
 
 def write_config_snapshot(cfg: dict[str, dict[str, str]], path: str) -> None:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, values in cfg.items():
         parser.add_section(section)
         for key, value in values.items():

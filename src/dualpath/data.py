@@ -276,7 +276,9 @@ def make_windows(
 
     An anchor d needs a full lookback behind it and `horizon` realized
     target days after it, all inside the anchor's own split, so train
-    targets never spill into validation or test days.
+    targets never spill into validation or test days. Every `x` is a
+    read-only view into one (nodes, days, features) copy of the panel,
+    so the windows cost no memory of their own.
     """
     if ds.n_days < lookback + horizon:
         raise ParameterError(
@@ -284,6 +286,8 @@ def make_windows(
         )
     n_tr, n_va, _ = split.resolve(ds.n_days)
     bounds = [(0, n_tr), (n_tr, n_tr + n_va), (n_tr + n_va, ds.n_days)]
+    panel = np.ascontiguousarray(ds.features.transpose(1, 0, 2))
+    panel.flags.writeable = False
     out: list[list[WindowSample]] = []
     for start, end in bounds:
         samples: list[WindowSample] = []
@@ -291,7 +295,7 @@ def make_windows(
             step_returns = ds.targets[d : d + horizon]  # (horizon, n_nodes)
             if not np.isfinite(step_returns).all():
                 continue
-            x = np.ascontiguousarray(ds.features[d - lookback + 1 : d + 1].transpose(1, 0, 2))
+            x = panel[:, d - lookback + 1 : d + 1]
             y = np.ascontiguousarray(np.cumprod(1.0 + step_returns, axis=0).T - 1.0)
             samples.append(WindowSample(x=x, y=y, day_index=d))
         out.append(samples)

@@ -40,9 +40,9 @@ from .numerics import (
     ParameterError,
     ShapeError,
     Tensor,
-    apply_row_mask,
     concat,
     layer_norm,
+    masked_softmax,
     matmul,
     permute,
     relu,
@@ -448,8 +448,7 @@ def ncorr_attention(
     q = permute(reshape(matmul(h, w_q), (n_nodes, n_heads, dh)), (1, 0, 2))
     k = permute(reshape(matmul(h, w_k), (n_nodes, n_heads, dh)), (1, 0, 2))
     scores = matmul(q, transpose_last2(k)) * (1.0 / math.sqrt(dh))
-    keep = topn_keep_mask(scores.data.mean(axis=0), n_keep)
-    attn = softmax_lastaxis(apply_row_mask(scores, np.broadcast_to(keep, scores.shape)))
+    attn = masked_softmax(scores, topn_keep_mask(scores.data.mean(axis=0), n_keep))
 
     v = matmul(z_i, w_v)
     v_heads = reshape(permute(reshape(v, (n, f, n_heads, dh)), (2, 0, 1, 3)), (n_heads, n, f * dh))

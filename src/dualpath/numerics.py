@@ -3,7 +3,7 @@
 Every array the network touches is a `Tensor`: a C-contiguous float64
 ndarray plus an optional gradient buffer and the links needed to replay
 the forward pass backwards. The op set is exactly what the model needs
-(matmul, softmax, layer norm, top-n row masking, the usual elementwise
+(matmul, softmax, top-n masked softmax, layer norm, the usual elementwise
 activations and reductions) and every differentiable op can be checked
 against central finite differences via `grad_check`.
 
@@ -26,18 +26,17 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "NEG_INF",
     "GradCheckReport",
     "NumericError",
     "ParameterError",
     "ShapeError",
     "Tensor",
-    "apply_row_mask",
     "backward",
     "concat",
     "exp",
     "grad_check",
     "layer_norm",
+    "masked_softmax",
     "matmul",
     "mean",
     "relu",
@@ -63,11 +62,6 @@ class ParameterError(ValueError):
 
 class NumericError(ArithmeticError):
     """A computation produced or received non-finite values."""
-
-
-# Finite stand-in for -inf: large enough that softmax rounds masked
-# entries to exactly 0, small enough that arithmetic stays finite.
-NEG_INF = -1e30
 
 
 class Tensor:
@@ -350,7 +344,8 @@ def sigmoid(x: Tensor) -> Tensor:
     x = _wrap(x)
     # evaluated branch-wise to stay overflow-free on both tails
     d = x.data
-    data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    data = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bwd(g):
         x._accumulate(g * data * (1.0 - data))
@@ -432,26 +427,47 @@ def topn_keep_mask(scores: np.ndarray, n: int) -> np.ndarray:
     """Boolean mask of the n largest entries per row (last axis).
 
     Ties break toward the lowest column index so sparsity patterns are
-    reproducible run to run.
+    reproducible run to run; -0.0 and 0.0 count as equal. This is the
+    mask a stable descending argsort gives, found in O(cols) per row:
+    entries above the row's n-th largest value are kept, then the
+    lowest-column entries equal to it until the row holds exactly n.
     """
     cols = scores.shape[-1]
     if not 1 <= n <= cols:
         raise ParameterError(f"top-n count {n} out of range [1, {cols}]")
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    keep = np.zeros(scores.shape, dtype=bool)
-    np.put_along_axis(keep, order[..., :n], True, axis=-1)
-    return keep
+    kth = np.partition(scores, cols - n, axis=-1)[..., cols - n, None]
+    above = scores > kth
+    tied = scores == kth
+    room = n - above.sum(axis=-1, keepdims=True)
+    return above | (tied & (np.cumsum(tied, axis=-1, dtype=np.int32) <= room))
 
 
-def apply_row_mask(x: Tensor, keep: np.ndarray) -> Tensor:
-    """Pass kept entries through; replace the rest with NEG_INF."""
+def masked_softmax(x: Tensor, keep: np.ndarray) -> Tensor:
+    """Softmax along the last axis over the kept entries only.
+
+    `keep` is a constant boolean mask that broadcasts to `x` (an N x N
+    mask serves every head of H x N x N scores); each row must keep at
+    least one entry. Dropped entries get probability exactly 0 and no
+    gradient. Dropped entries reach `exp` as 0, not as a huge negative
+    number, so a sparse mask pays for no underflowing exponentials.
+    """
     x = _wrap(x)
-    if keep.shape != x.shape:
-        raise ShapeError(f"mask shape {keep.shape} does not match input {x.shape}")
-    data = np.where(keep, x.data, NEG_INF)
+    keep = np.asarray(keep, dtype=bool)
+    try:
+        fits = x.ndim >= 1 and np.broadcast_shapes(keep.shape, x.shape) == x.shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ShapeError(f"mask shape {keep.shape} does not broadcast to input {x.shape}")
+    if not np.atleast_1d(keep).any(axis=-1).all():
+        raise ParameterError("masked_softmax needs at least one kept entry per row")
+    top = np.where(keep, x.data, -np.inf).max(axis=-1, keepdims=True)
+    e = np.exp(np.where(keep, x.data - top, 0.0)) * keep
+    data = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        x._accumulate(g * keep)
+        inner = (g * data).sum(axis=-1, keepdims=True)
+        x._accumulate(data * (g - inner))
 
     return _make(data, (x,), bwd)
 

@@ -139,6 +139,20 @@ def test_manifest_round_trips_into_train(tmp_path):
     assert (run_dir / "config.ini").exists()
 
 
+def test_percent_in_paths_round_trips_through_train_and_backtest(tmp_path):
+    # configparser interpolation would read "%" as a reference
+    root = tmp_path / "da%ta"
+    data_dir, run_dir, bt_dir = root / "data%1", root / "run", root / "bt"
+    assert run(["gen-data", "--out", str(data_dir), "--nodes", "8", "--days", "80", "--clusters", "2"]) == 0
+    code = run(["train", "--config", str(data_dir / "manifest.ini"), "--out", str(run_dir)] + set_args())
+    assert code == 0
+    snapshot = load_config(str(run_dir / "config.ini"), [])
+    assert snapshot["data"]["csv"] == str(data_dir / "panel.csv")
+    assert (run_dir / "runlog.jsonl").exists()
+    assert run(["backtest", "--run", str(run_dir), "--out", str(bt_dir)]) == 0
+    assert (bt_dir / "report.txt").exists()
+
+
 # -- train ----------------------------------------------------------------------
 
 

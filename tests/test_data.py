@@ -218,6 +218,22 @@ def test_make_windows_no_leakage():
             assert np.array_equal(s.x, window)
 
 
+def test_make_windows_are_read_only_views_of_one_panel():
+    ds = synth_market(n_nodes=4, n_days=60, n_clusters=2, seed=9)
+    t, h = 10, 2
+    samples = [s for part in make_windows(ds, t, h, SplitSpec(0.6, 0.2, 0.2)) for s in part]
+    panel = samples[0].x.base
+    assert panel is not None and panel.shape == (4, 60, ds.n_features)
+    for s in samples:
+        assert s.x.base is panel
+        assert not s.x.flags.writeable
+        with pytest.raises(ValueError):
+            s.x[0, 0, 0] = 1.0
+        copy = np.ascontiguousarray(ds.features[s.day_index - t + 1 : s.day_index + 1].transpose(1, 0, 2))
+        assert np.array_equal(s.x, copy)
+    assert not np.shares_memory(panel, ds.features)
+
+
 def test_make_windows_multi_horizon_compounds():
     ds = synth_market(n_nodes=3, n_days=40, n_clusters=1, seed=10)
     train, _, _ = make_windows(ds, 5, 3, SplitSpec(1.0, 0.0, 0.0))

@@ -333,6 +333,47 @@ def test_ncorr_multi_head_rows_keep_exact_support():
     assert np.abs(attn.sum(axis=1) - 1.0).max() < 1e-9
 
 
+def _ncorr_reference(h, z_i, w_q, w_k, w_v, n_keep, n_heads):
+    # the composition ncorr_attention replaced: a stable-argsort top-n mask,
+    # dropped scores filled with -1e30, then a plain softmax
+    n, f, _ = z_i.shape
+    d_g = w_v.shape[1]
+    dh = d_g // n_heads
+    q = nm.permute(nm.reshape(nm.matmul(h, w_q), (n, n_heads, dh)), (1, 0, 2))
+    k = nm.permute(nm.reshape(nm.matmul(h, w_k), (n, n_heads, dh)), (1, 0, 2))
+    scores = nm.matmul(q, nm.transpose_last2(k)) * (1.0 / math.sqrt(dh))
+    order = np.argsort(-scores.data.mean(axis=0), axis=-1, kind="stable")
+    keep = np.zeros((n, n), dtype=bool)
+    np.put_along_axis(keep, order[:, :n_keep], True, axis=-1)
+    keep = np.broadcast_to(keep, scores.shape)
+    attn = nm.softmax_lastaxis(scores * keep + np.where(keep, 0.0, -1e30))
+    v = nm.matmul(z_i, w_v)
+    v_heads = nm.reshape(nm.permute(nm.reshape(v, (n, f, n_heads, dh)), (2, 0, 1, 3)), (n_heads, n, f * dh))
+    ctx = nm.matmul(attn, v_heads)
+    out = nm.reshape(nm.permute(nm.reshape(ctx, (n_heads, n, f, dh)), (1, 2, 0, 3)), (n, f, d_g))
+    return out, attn.data.mean(axis=0)
+
+
+def test_ncorr_matches_reference_composition_bitwise_at_market_width():
+    cfg = ModelConfig(
+        n_nodes=200, n_features=4, lookback=6, d_model=16, n_heads=4, n_layers=1, topn_ratio=0.1
+    )
+    lp = ModelParams.init(cfg, seed=18).layers[0]
+    rng = np.random.default_rng(18)
+    h_data = rng.standard_normal((200, 16))
+    z_data = rng.standard_normal((200, 4, 16))
+    w = rng.standard_normal((200, 4, 16))
+    results = []
+    for fn in (ncorr_attention, _ncorr_reference):
+        h, z_i = Tensor(h_data, requires_grad=True), Tensor(z_data, requires_grad=True)
+        weights = [Tensor(t.data, requires_grad=True) for t in (lp.qg_temp, lp.kg_temp, lp.vg)]
+        out, attn = fn(h, z_i, *weights, cfg.n_keep, cfg.n_heads)
+        nm.sum_(out * w).backward()
+        results.append([out.data, attn, h.grad, z_i.grad] + [t.grad for t in weights])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
 def test_ncorr_rejects_bad_n_keep():
     cfg = small_config()
     params = ModelParams.init(cfg, seed=17)

@@ -6,7 +6,6 @@ import pytest
 import dualpath
 from dualpath import numerics as nm
 from dualpath.numerics import (
-    NEG_INF,
     ParameterError,
     ShapeError,
     Tensor,
@@ -14,9 +13,24 @@ from dualpath.numerics import (
 )
 
 
-def _topn(x, n):
-    # the top-n row masking that ncorr_attention composes
-    return nm.apply_row_mask(x, nm.topn_keep_mask(x.data, n))
+def _topn_softmax(x, n):
+    # the top-n masked softmax that ncorr_attention composes
+    return nm.masked_softmax(x, nm.topn_keep_mask(x.data, n))
+
+
+def _argsort_keep_mask(scores, n):
+    # reference: the n largest per row by stable descending argsort
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    keep = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(keep, order[..., :n], True, axis=-1)
+    return keep
+
+
+def _reference_masked_softmax(x, keep):
+    # reference: dropped entries filled with -1e30 before a plain softmax;
+    # x * keep + fill passes kept values and their gradient through exactly
+    fill = np.where(keep, 0.0, -1e30)
+    return nm.softmax_lastaxis(x * np.broadcast_to(keep, x.shape) + fill)
 
 
 @pytest.mark.parametrize("module", [dualpath, nm], ids=["dualpath", "dualpath.numerics"])
@@ -162,36 +176,93 @@ def test_layer_norm_affine_shape_mismatch():
 
 
 def test_topn_direct():
-    out = _topn(Tensor([[3.0, 1.0, 2.0]]), 2)
-    assert out.data[0].tolist() == [3.0, NEG_INF, 2.0]
+    keep = nm.topn_keep_mask(np.array([[3.0, 1.0, 2.0]]), 2)
+    assert keep[0].tolist() == [True, False, True]
 
 
 def test_topn_full_retention_is_identity():
     rng = np.random.default_rng(4)
-    x = rng.standard_normal((3, 5))
-    out = _topn(Tensor(x), 5)
-    assert np.array_equal(out.data, x)
+    x = Tensor(rng.standard_normal((3, 5)))
+    keep = nm.topn_keep_mask(x.data, 5)
+    assert keep.all()
+    assert np.array_equal(nm.masked_softmax(x, keep).data, nm.softmax_lastaxis(x).data)
 
 
 def test_topn_then_softmax_support():
     rng = np.random.default_rng(5)
     x = Tensor(rng.standard_normal((8, 8)))
-    probs = nm.softmax_lastaxis(_topn(x, 3)).data
+    probs = _topn_softmax(x, 3).data
     assert ((probs > 0).sum(axis=1) == 3).all()
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_topn_tie_break_lowest_column():
-    out = _topn(Tensor([[1.0, 1.0, 1.0, 1.0]]), 2)
-    assert out.data[0].tolist() == [1.0, 1.0, NEG_INF, NEG_INF]
+    keep = nm.topn_keep_mask(np.array([[1.0, 1.0, 1.0, 1.0]]), 2)
+    assert keep[0].tolist() == [True, True, False, False]
 
 
 def test_topn_out_of_range():
-    x = Tensor(np.zeros((2, 3)))
+    x = np.zeros((2, 3))
     with pytest.raises(ParameterError):
-        _topn(x, 0)
+        nm.topn_keep_mask(x, 0)
     with pytest.raises(ParameterError):
-        _topn(x, 4)
+        nm.topn_keep_mask(x, 4)
+
+
+_MASK_RNG = np.random.default_rng(21)
+MASK_CASES = {
+    "random_2d": _MASK_RNG.standard_normal((40, 50)),
+    "random_3d": _MASK_RNG.standard_normal((3, 20, 30)),
+    "ties_2d": _MASK_RNG.integers(-2, 3, size=(60, 25)).astype(float),
+    "ties_3d": _MASK_RNG.integers(0, 2, size=(4, 10, 12)).astype(float),
+    "signed_zeros": _MASK_RNG.choice([-0.0, 0.0, 1.0, -1.0], size=(50, 16)),
+    "constant": np.zeros((5, 9)),
+}
+
+
+@pytest.mark.parametrize("scores", MASK_CASES.values(), ids=MASK_CASES.keys())
+def test_topn_keep_mask_equals_stable_argsort(scores):
+    cols = scores.shape[-1]
+    for n in sorted({1, 2, cols // 3, cols - 1, cols}):
+        keep = nm.topn_keep_mask(scores, n)
+        assert keep.dtype == bool
+        assert np.array_equal(keep, _argsort_keep_mask(scores, n)), n
+        assert (keep.sum(axis=-1) == n).all()
+
+
+@pytest.mark.parametrize(
+    "x_shape,keep_shape",
+    [((6, 6), (6, 6)), ((3, 6, 6), (6, 6)), ((3, 6, 6), (3, 6, 6)), ((2, 5), (5,))],
+)
+def test_masked_softmax_equals_filled_softmax_bitwise(x_shape, keep_shape):
+    rng = np.random.default_rng(22)
+    x_data = rng.standard_normal(x_shape) * 4
+    keep = rng.random(keep_shape) < 0.4
+    keep[..., 1] = True  # every row keeps at least one entry
+    x = Tensor(x_data, requires_grad=True)
+    ref_x = Tensor(x_data, requires_grad=True)
+    got = nm.masked_softmax(x, keep)
+    want = _reference_masked_softmax(ref_x, keep)
+    assert np.array_equal(got.data, want.data)
+    assert (got.data[~np.broadcast_to(keep, x_shape)] == 0.0).all()
+    w = rng.standard_normal(x_shape)
+    nm.sum_(got * w).backward()
+    nm.sum_(want * w).backward()
+    assert np.array_equal(x.grad, ref_x.grad)
+
+
+def test_masked_softmax_rejects_mask_of_wrong_shape():
+    x = Tensor(np.zeros((2, 4, 4)))
+    for shape in [(4, 3), (3, 4, 4), (2, 2, 4, 4), (3,)]:
+        with pytest.raises(ShapeError):
+            nm.masked_softmax(x, np.ones(shape, dtype=bool))
+
+
+def test_masked_softmax_rejects_empty_row():
+    keep = np.ones((3, 3), dtype=bool)
+    keep[1] = False
+    with pytest.raises(ParameterError):
+        nm.masked_softmax(Tensor(np.zeros((3, 3))), keep)
 
 
 def test_activation_canonical_points():
@@ -347,7 +418,7 @@ def test_grad_check_rejects_bad_step():
         ("permute", lambda t: nm.sum_(nm.transpose_last2(t) * nm.transpose_last2(t))),
         (
             "masked_softmax",
-            lambda t: nm.sum_(nm.softmax_lastaxis(_topn(t, 2)) * t),
+            lambda t: nm.sum_(_topn_softmax(t, 2) * t),
         ),
     ],
 )
@@ -362,8 +433,8 @@ def test_grad_check_every_op(name, f):
 def test_operations_deterministic():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((6, 6))
-    a = nm.softmax_lastaxis(_topn(Tensor(x), 3)).data
-    b = nm.softmax_lastaxis(_topn(Tensor(x.copy()), 3)).data
+    a = _topn_softmax(Tensor(x), 3).data
+    b = _topn_softmax(Tensor(x.copy()), 3).data
     assert np.array_equal(a, b)
 
 
@@ -373,7 +444,7 @@ def test_all_outputs_finite_on_finite_inputs():
     outs = [
         nm.softmax_lastaxis(x),
         nm.layer_norm(x, Tensor(np.ones(5)), Tensor(np.zeros(5)), 1e-5),
-        _topn(x, 2),
+        _topn_softmax(x, 2),
         nm.relu(x),
         nm.tanh(x),
         nm.sigmoid(x),

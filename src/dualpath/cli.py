@@ -216,8 +216,6 @@ def write_config_snapshot(cfg: dict[str, dict[str, str]], path: str) -> None:
     for section, values in cfg.items():
         parser.add_section(section)
         for key, value in values.items():
-            if key.startswith("_"):
-                continue
             parser.set(section, key, str(value))
     with open(path, "w") as fh:
         parser.write(fh)

@@ -183,6 +183,13 @@ def load_panel_csv(path: str, schema: CsvSchema = CsvSchema()) -> PanelDataset:
     for (d, n), (feats, target) in cells.items():
         features[day_of[d], node_of[n]] = feats
         targets[day_of[d], node_of[n]] = target
+    for values, columns in ((features, feature_names), (targets[..., None], [schema.target_col])):
+        infinite = np.argwhere(np.isinf(values))
+        if len(infinite):
+            day, node, col = infinite[0]
+            raise ParameterError(
+                f"{path}: infinite value at date={dates[day]} node={nodes[node]} column {columns[col]!r}"
+            )
 
     # drop nodes with too many gapped days before trying to fill anything
     missing_days = np.isnan(features).any(axis=2).sum(axis=0)

@@ -56,9 +56,8 @@ from .numerics import (
     xavier_uniform,
 )
 
-ABLATION_FLAGS = frozenset(
-    {"no_dpgate", "no_temporal_path", "no_feature_path", "no_itblock", "no_importance"}
-)
+# the component removals, in the row order of the ablation table
+ABLATION_FLAGS = ("no_dpgate", "no_temporal_path", "no_feature_path", "no_itblock", "no_importance")
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ class ModelConfig:
             raise ParameterError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 < self.topn_ratio <= 1.0:
             raise ParameterError(f"topn_ratio must lie in (0, 1], got {self.topn_ratio}")
-        unknown = self.ablation - ABLATION_FLAGS
+        unknown = self.ablation.difference(ABLATION_FLAGS)
         if unknown:
             raise ParameterError(f"unknown ablation flags: {sorted(unknown)}")
         if "no_temporal_path" in self.ablation and "no_feature_path" in self.ablation:
@@ -370,31 +369,25 @@ def encode_temporal(x: Tensor, lp: SimpleNamespace, config: ModelConfig, layer_i
     With no_itblock the whole block collapses to a per-token affine
     projection, so the output is linear in the input.
     """
-    first = layer_index == 0
+    tokens = invert_tokens(x) if layer_index == 0 else x
     if "no_itblock" in config.ablation:
-        tokens = invert_tokens(x) if first else x
         return matmul(tokens, lp.res_w) + lp.res_b
-    if first:
-        x_inv = invert_tokens(x)
-        if config.importance_active:
-            _, x_aug = importance_weights(x_inv, lp)
-        else:
-            x_aug = x_inv
-    else:
-        x_aug = x
-    attended = temporal_self_attention(x_aug, lp, config.n_heads)
-    residual = matmul(x_aug, lp.res_w) + lp.res_b
+    if layer_index == 0 and config.importance_active:
+        _, tokens = importance_weights(tokens, lp)
+    attended = temporal_self_attention(tokens, lp, config.n_heads)
+    residual = matmul(tokens, lp.res_w) + lp.res_b
     x_hat = layer_norm(attended + residual, lp.ln1_g, lp.ln1_b)
     ff = _ffd(x_hat, lp.ffd1_w1, lp.ffd1_b1, lp.ffd1_w2, lp.ffd1_b2)
     return layer_norm(x_hat + ff, lp.ln2_g, lp.ln2_b)
 
 
-def double_direction_fusion(
-    z_i: Tensor,
-    lp: SimpleNamespace,
-    want_temporal: bool = True,
-    want_feature: bool = True,
-) -> tuple[Tensor | None, Tensor | None]:
+def _summary(a: Tensor, b: Tensor, w_q: Tensor, w_k: Tensor) -> Tensor:
+    """Sum `a` over its last axis, weighted by softmax((a w_q)(b w_k).T)."""
+    weights = softmax_lastaxis(matmul(matmul(a, w_q), transpose_last2(matmul(b, w_k))))
+    return sum_(weights * a, axis=-1)
+
+
+def double_direction_fusion(z_i: Tensor, lp: SimpleNamespace) -> tuple[Tensor | None, Tensor | None]:
     """Mutual querying between the token matrix and its transpose.
 
     z_i holds feature tokens (N x F x D); z = transpose (N x D x F). The
@@ -404,19 +397,13 @@ def double_direction_fusion(
 
         h_temp[n, d] = sum_f softmax_f(Q_F K_F^I.T)[n, d, f] * z[n, d, f]
         h_feat[n, f] = sum_d softmax_d(Q_F^I K_F.T)[n, f, d] * z_i[n, f, d]
+
+    A path the layer's layout leaves out (no fusion weights) gets None,
+    and from here on a path is present exactly when its summary is.
     """
     z = transpose_last2(z_i)
-    h_temp = h_feat = None
-    if want_temporal:
-        q_f = matmul(z, lp.fus_wq)
-        k_fi = matmul(z_i, lp.fus_wki)
-        w_temp = softmax_lastaxis(matmul(q_f, transpose_last2(k_fi)))
-        h_temp = sum_(w_temp * z, axis=-1)
-    if want_feature:
-        q_fi = matmul(z_i, lp.fus_wqi)
-        k_f = matmul(z, lp.fus_wk)
-        w_feat = softmax_lastaxis(matmul(q_fi, transpose_last2(k_f)))
-        h_feat = sum_(w_feat * z_i, axis=-1)
+    h_temp = _summary(z, z_i, lp.fus_wq, lp.fus_wki) if hasattr(lp, "fus_wq") else None
+    h_feat = _summary(z_i, z, lp.fus_wqi, lp.fus_wk) if hasattr(lp, "fus_wqi") else None
     return h_temp, h_feat
 
 
@@ -438,15 +425,12 @@ def ncorr_attention(
     learned adjacency has exactly `n_keep` neighbors per node; returns
     the head-averaged attention matrix alongside the output tokens.
     """
-    n_nodes = h.shape[0]
-    if not 1 <= n_keep <= n_nodes:
-        raise ParameterError(f"n_keep {n_keep} out of range [1, {n_nodes}]")
     n, f, _ = z_i.shape
     d_g = w_v.shape[1]
     dh = d_g // n_heads
 
-    q = permute(reshape(matmul(h, w_q), (n_nodes, n_heads, dh)), (1, 0, 2))
-    k = permute(reshape(matmul(h, w_k), (n_nodes, n_heads, dh)), (1, 0, 2))
+    q = permute(reshape(matmul(h, w_q), (n, n_heads, dh)), (1, 0, 2))
+    k = permute(reshape(matmul(h, w_k), (n, n_heads, dh)), (1, 0, 2))
     scores = matmul(q, transpose_last2(k)) * (1.0 / math.sqrt(dh))
     attn = masked_softmax(scores, topn_keep_mask(scores.data.mean(axis=0), n_keep))
 
@@ -463,17 +447,22 @@ def dp_gate(
     lp: SimpleNamespace,
     ablation: frozenset = frozenset(),
 ) -> Tensor:
-    """Blend the two path encodings through self- and mutual-passing gates."""
+    """Blend the path encodings present (not None) through the double-path gate.
+
+    Each present path passes its tanh self-gate; two paths then mix
+    through a sigmoid mutual gate. Under no_dpgate a lone path passes
+    through unchanged and two paths are averaged.
+    """
     if o_feat is not None and o_temp is not None and o_feat.shape != o_temp.shape:
         raise ShapeError(f"path encodings disagree: {o_feat.shape} vs {o_temp.shape}")
     if "no_dpgate" in ablation:
+        if o_feat is None or o_temp is None:
+            return o_temp if o_feat is None else o_feat
         return (o_feat + o_temp) * 0.5
-    if "no_temporal_path" in ablation:
-        return tanh(matmul(o_feat, lp.ws_f) + lp.bs_f) * o_feat
-    if "no_feature_path" in ablation:
-        return tanh(matmul(o_temp, lp.ws_t) + lp.bs_t) * o_temp
-    gated_feat = tanh(matmul(o_feat, lp.ws_f) + lp.bs_f) * o_feat
-    gated_temp = tanh(matmul(o_temp, lp.ws_t) + lp.bs_t) * o_temp
+    gated_feat = None if o_feat is None else tanh(matmul(o_feat, lp.ws_f) + lp.bs_f) * o_feat
+    gated_temp = None if o_temp is None else tanh(matmul(o_temp, lp.ws_t) + lp.bs_t) * o_temp
+    if gated_feat is None or gated_temp is None:
+        return gated_temp if gated_feat is None else gated_feat
     mix = sigmoid(matmul(concat([o_feat, o_temp], axis=-1), lp.wm))
     return gated_feat * mix + gated_temp * (1.0 - mix)
 
@@ -506,16 +495,13 @@ def forward(x, params: ModelParams, config: ModelConfig) -> tuple[Tensor, Attent
     h = x
     for i, lp in enumerate(params.layers):
         z_i = encode_temporal(h, lp, config, i)
-        h_temp, h_feat = double_direction_fusion(
-            z_i, lp, want_temporal=config.temporal_path_active, want_feature=config.feature_path_active
-        )
-        o_feat = o_temp = None
-        a_feat = a_temp = None
-        if config.feature_path_active:
+        h_temp, h_feat = double_direction_fusion(z_i, lp)
+        o_feat = o_temp = a_feat = a_temp = None
+        if h_feat is not None:
             o_feat, a_feat = ncorr_attention(
                 h_feat, z_i, lp.qg_feat, lp.kg_feat, lp.vg, config.n_keep, config.n_heads
             )
-        if config.temporal_path_active:
+        if h_temp is not None:
             o_temp, a_temp = ncorr_attention(
                 h_temp, z_i, lp.qg_temp, lp.kg_temp, lp.vg, config.n_keep, config.n_heads
             )

@@ -77,6 +77,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
+        if data is None:
+            raise TypeError("Tensor data is None")
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)

@@ -17,7 +17,7 @@ import numpy as np
 from .data import WindowSample
 from .loss import LossConfig, total_loss
 from .metrics import BacktestReport, DailyScores, information_coefficient, run_backtest
-from .model import ModelConfig, ModelParams, forward
+from .model import ABLATION_FLAGS, ModelConfig, ModelParams, forward
 from .numerics import GradCheckReport, NumericError, ParameterError, Tensor, grad_check
 
 
@@ -227,7 +227,7 @@ def _config_dict(cfg: ModelConfig) -> dict:
 
 
 # row labels of the ablation table; every label but "full" is the one flag it sets
-ABLATION_ROWS = ("full", "no_dpgate", "no_temporal_path", "no_feature_path", "no_itblock", "no_importance")
+ABLATION_ROWS = ("full", *ABLATION_FLAGS)
 
 
 def _train_and_test(

@@ -167,6 +167,16 @@ def test_train_emits_artifacts_and_snapshot_records_ablation(tmp_path):
     assert len(log) == 1 + 2  # config line + one record per epoch
 
 
+@pytest.mark.parametrize("layers", [1, 2])
+def test_ungated_single_path_trains_and_backtests(tmp_path, layers):
+    # without the gate a lone path passes through; it used to reach the merge as NaN
+    run_dir, bt_dir = tmp_path / "run", tmp_path / "bt"
+    extra = ["model.ablation=no_dpgate,no_temporal_path", f"model.n_layers={layers}"]
+    assert run(["train", "--out", str(run_dir)] + set_args(extra)) == 0
+    assert run(["backtest", "--run", str(run_dir), "--out", str(bt_dir)]) == 0
+    assert (bt_dir / "report.txt").exists()
+
+
 def test_train_rejects_invalid_flag_combination(tmp_path, capsys):
     code = run(
         ["train", "--out", str(tmp_path / "run")]

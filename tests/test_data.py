@@ -68,6 +68,30 @@ def test_ingest_duplicate_row_rejected(tmp_path):
         load_panel_csv(str(p))
 
 
+def test_ingest_infinite_feature_cell_names_its_place(tmp_path):
+    p = tmp_path / "panel.csv"
+    write_csv(p, ["0,aa,1.0,2.0,0.01", "0,bb,1.0,2.0,0.01", "1,aa,1.0,2.0,0.01", "1,bb,1.0,-inf,0.01"])
+    with pytest.raises(ParameterError) as err:
+        load_panel_csv(str(p))
+    assert str(p) in str(err.value)
+    assert "date=1 node=bb column 'f2'" in str(err.value)
+
+
+def test_ingest_infinite_target_cell_names_its_place(tmp_path):
+    p = tmp_path / "panel.csv"
+    write_csv(p, ["0,aa,1.0,2.0,0.01", "0,bb,1.0,2.0,inf", "1,aa,1.0,2.0,nan", "1,bb,1.0,2.0,"])
+    with pytest.raises(ParameterError) as err:
+        load_panel_csv(str(p))
+    assert "date=0 node=bb column 'target'" in str(err.value)
+
+
+def test_ingest_nan_text_and_empty_target_stay_missing(tmp_path):
+    p = tmp_path / "panel.csv"
+    write_csv(p, ["0,aa,1.0,2.0,0.01", "0,bb,1.0,2.0,0.01", "1,aa,1.0,2.0,nan", "1,bb,1.0,2.0,"])
+    ds = load_panel_csv(str(p))
+    assert np.isnan(ds.targets[1]).all() and np.isfinite(ds.targets[0]).all()
+
+
 def test_ingest_forward_fill_within_limit(tmp_path):
     p = tmp_path / "panel.csv"
     rows = []

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -464,6 +465,16 @@ def test_gate_ablations():
     expected = np.tanh(o_t.data @ lp.ws_t.data + lp.bs_t.data) * o_t.data
     assert np.abs(merged.data - expected).max() < 1e-12
 
+    # without the gate a lone path has no gate weights and passes through unchanged
+    for kept, dropped in ((o_f, "no_temporal_path"), (o_t, "no_feature_path")):
+        cfg = ModelConfig(
+            n_nodes=2, n_features=2, lookback=4, d_model=3, n_heads=1, n_layers=1,
+            topn_ratio=1.0, ablation={"no_dpgate", dropped},
+        )
+        lp = ModelParams.init(cfg, seed=21).layers[0]
+        paths = (kept, None) if dropped == "no_temporal_path" else (None, kept)
+        assert dp_gate(*paths, lp, cfg.ablation) is kept
+
 
 def test_gate_shape_mismatch():
     cfg = small_config()
@@ -605,9 +616,7 @@ def test_forward_single_node_self_loop():
     assert maps.feature[0].tolist() == [[1.0]]
 
 
-@pytest.mark.parametrize(
-    "flag", ["no_dpgate", "no_temporal_path", "no_feature_path", "no_itblock", "no_importance"]
-)
+@pytest.mark.parametrize("flag", ABLATION_FLAGS)
 def test_ablations_change_output(flag):
     base_cfg = small_config()
     abl_cfg = small_config(ablation={flag})
@@ -620,6 +629,42 @@ def test_ablations_change_output(flag):
         assert abl_maps.temporal[0] is None and abl_maps.feature[0] is not None
     if flag == "no_feature_path":
         assert abl_maps.feature[0] is None and abl_maps.temporal[0] is not None
+
+
+ABLATION_SUBSETS = [
+    set(flags)
+    for k in range(len(ABLATION_FLAGS) + 1)
+    for flags in itertools.combinations(ABLATION_FLAGS, k)
+]
+ACCEPTED_ABLATIONS = [
+    flags for flags in ABLATION_SUBSETS if not {"no_temporal_path", "no_feature_path"} <= flags
+]
+
+
+def test_config_accepts_exactly_the_subsets_keeping_a_path():
+    assert len(ACCEPTED_ABLATIONS) == 24
+    for flags in ABLATION_SUBSETS:
+        if flags in ACCEPTED_ABLATIONS:
+            small_config(ablation=flags)
+        else:
+            with pytest.raises(ParameterError, match="both correlation paths"):
+                small_config(ablation=flags)
+
+
+@pytest.mark.parametrize("flags", ACCEPTED_ABLATIONS, ids=lambda f: "+".join(sorted(f)) or "full")
+def test_every_accepted_ablation_runs_and_trains_every_parameter(flags):
+    cfg = small_config(n_layers=2, ablation=flags)
+    params = ModelParams.init(cfg, seed=38)
+    x = np.random.default_rng(38).standard_normal((4, 6, 3))
+    y_hat, maps = forward(x, params, cfg)
+    assert np.isfinite(y_hat.data).all()
+    assert (maps.feature[0] is None) == ("no_feature_path" in flags)
+    assert (maps.temporal[0] is None) == ("no_temporal_path" in flags)
+    nm.sum_(y_hat * Tensor(np.linspace(-1.0, 1.0, 4)[:, None])).backward()
+    # a parameter the graph never reaches keeps grad None (imp_b2's is an exact
+    # zero by softmax shift invariance, so only reachability is asserted)
+    for name, t in params.named().items():
+        assert t.grad is not None and np.isfinite(t.grad).all(), name
 
 
 def test_ablated_layouts_have_no_orphan_parameters():

@@ -39,6 +39,14 @@ def test_all_names_resolve(module):
     assert not missing
 
 
+def test_tensor_refuses_none():
+    # np.asarray(None, dtype=float) is a 0-d NaN; a missing operand must not become one
+    with pytest.raises(TypeError):
+        Tensor(None)
+    with pytest.raises(TypeError):
+        Tensor(np.ones(2)) + None
+
+
 def test_matmul_identity():
     eye = Tensor([[1.0, 0.0], [0.0, 1.0]])
     m = Tensor([[2.0, 3.0], [4.0, 5.0]])

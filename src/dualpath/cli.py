@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from .data import (
-    CsvSchema,
     PanelDataset,
     SplitSpec,
     cluster_labels,
@@ -148,7 +147,7 @@ def build_dataset(cfg: dict[str, dict[str, str]]) -> PanelDataset:
     if source == "csv":
         if not data["csv"]:
             raise ConfigError("[data] source=csv requires a csv path")
-        return load_panel_csv(data["csv"], CsvSchema())
+        return load_panel_csv(data["csv"])
     raise ConfigError(f"[data] source must be 'synthetic' or 'csv', got {source!r}")
 
 

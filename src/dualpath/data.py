@@ -12,6 +12,7 @@ import csv
 import math
 import re
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,7 @@ class WindowSample:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Chronological train/val/test day budget, as counts or fractions."""
+    """Chronological train/val/test day budget, as day counts or as fractions summing to 1."""
 
     train: float = 0.7
     val: float = 0.15
@@ -82,27 +83,19 @@ class SplitSpec:
             if any(p < 0 for p in parts):
                 raise ParameterError(f"split day counts must be non-negative: {parts}")
             return parts  # type: ignore[return-value]
-        if any(p < 0 for p in parts) or sum(parts) > 1.0 + 1e-9:
-            raise ParameterError(f"split fractions {parts} must be non-negative and sum to <= 1")
+        if any(p < 0 for p in parts) or abs(sum(parts) - 1.0) > 1e-9:
+            raise ParameterError(f"split fractions {parts} must be non-negative and sum to 1")
         n_val = int(math.floor(self.val * n_days))
         n_test = int(math.floor(self.test * n_days))
         n_train = n_days - n_val - n_test
         return n_train, n_val, n_test
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column layout and gap policy for panel CSV files."""
-
-    date_col: str = "date"
-    node_col: str = "node_id"
-    target_col: str = "target"
-    feature_cols: tuple[str, ...] | None = None  # None: every remaining column
-    ffill_limit: int = 3
-    max_missing_frac: float = 0.1
+# Key columns of the panel CSV layout; every other column is a feature.
+DATE_COL, NODE_COL, TARGET_COL = "date", "node_id", "target"
 
 
-def load_panel_csv(path: str, schema: CsvSchema = CsvSchema()) -> PanelDataset:
+def load_panel_csv(path: str, *, ffill_limit: int = 3, max_missing_frac: float = 0.1) -> PanelDataset:
     """Read a long-format CSV into a dense, gap-free panel.
 
     Rows may arrive in any order. Nodes missing more than
@@ -118,23 +111,18 @@ def load_panel_csv(path: str, schema: CsvSchema = CsvSchema()) -> PanelDataset:
                 header = next(reader)
             except StopIteration:
                 raise ParameterError(f"{path}: empty file") from None
-            for col in (schema.date_col, schema.node_col, schema.target_col):
+            for col in header:
+                if header.count(col) > 1:
+                    raise ParameterError(f"{path}: column {col!r} appears more than once")
+            for col in (DATE_COL, NODE_COL, TARGET_COL):
                 if col not in header:
                     raise ParameterError(f"{path}: missing required column {col!r}")
-            if schema.feature_cols is None:
-                feature_names = [
-                    c for c in header if c not in (schema.date_col, schema.node_col, schema.target_col)
-                ]
-            else:
-                feature_names = list(schema.feature_cols)
-                for col in feature_names:
-                    if col not in header:
-                        raise ParameterError(f"{path}: missing feature column {col!r}")
-            idx = {c: header.index(c) for c in header}
-            f_idx = [idx[c] for c in feature_names]
-            d_idx, n_idx, t_idx = idx[schema.date_col], idx[schema.node_col], idx[schema.target_col]
+            feature_names = [c for c in header if c not in (DATE_COL, NODE_COL, TARGET_COL)]
+            columns = [(c, header.index(c)) for c in (*feature_names, TARGET_COL)]
+            d_idx, n_idx = header.index(DATE_COL), header.index(NODE_COL)
 
-            cells: dict[tuple[str, str], tuple[np.ndarray, float]] = {}
+            rows: dict[tuple[str, str], None] = {}  # (date, node) keys in file order
+            values = array("d")  # each row's feature cells, then its target cell
             for row in reader:
                 if not row or all(not c.strip() for c in row):
                     continue
@@ -142,58 +130,49 @@ def load_panel_csv(path: str, schema: CsvSchema = CsvSchema()) -> PanelDataset:
                 if len(row) != len(header):
                     raise ParameterError(f"{path}:{line}: expected {len(header)} columns, got {len(row)}")
                 date, node = row[d_idx].strip(), row[n_idx].strip()
-                key = (date, node)
-                if key in cells:
+                if (date, node) in rows:
                     raise ParameterError(f"{path}:{line}: duplicate row for date={date} node={node}")
-                feats = np.empty(len(feature_names))
-                for j, col in enumerate(f_idx):
-                    text = row[col].strip()
+                rows[date, node] = None
+                for col, i in columns:
+                    text = row[i].strip()
                     if text == "":
-                        feats[j] = np.nan
+                        values.append(math.nan)
                         continue
                     try:
-                        feats[j] = float(text)
+                        values.append(float(text))
                     except ValueError:
-                        raise ParameterError(
-                            f"{path}:{line}: cannot parse {feature_names[j]}={row[col]!r}"
-                        ) from None
-                text = row[t_idx].strip()
-                if text == "":
-                    target = np.nan
-                else:
-                    try:
-                        target = float(text)
-                    except ValueError:
-                        raise ParameterError(f"{path}:{line}: cannot parse target={row[t_idx]!r}") from None
-                cells[key] = (feats, target)
+                        raise ParameterError(f"{path}:{line}: cannot parse {col}={row[i]!r}") from None
     except UnicodeDecodeError:
         raise ParameterError(f"{path}: not UTF-8 text") from None
     except csv.Error as err:
         raise ParameterError(f"{path}:{reader.line_num}: {err}") from None
 
-    if not cells:
+    if not rows:
         raise ParameterError(f"{path}: no data rows")
-    dates = sorted({d for d, _ in cells}, key=_date_key)
-    nodes = sorted({n for _, n in cells})
+    dates = sorted({d for d, _ in rows}, key=_date_key)
+    nodes = sorted({n for _, n in rows})
     day_of = {d: i for i, d in enumerate(dates)}
     node_of = {n: j for j, n in enumerate(nodes)}
+    at_day = np.fromiter((day_of[d] for d, _ in rows), dtype=np.intp, count=len(rows))
+    at_node = np.fromiter((node_of[n] for _, n in rows), dtype=np.intp, count=len(rows))
+    del rows
 
-    features = np.full((len(dates), len(nodes), len(feature_names)), np.nan)
-    targets = np.full((len(dates), len(nodes)), np.nan)
-    for (d, n), (feats, target) in cells.items():
-        features[day_of[d], node_of[n]] = feats
-        targets[day_of[d], node_of[n]] = target
-    for values, columns in ((features, feature_names), (targets[..., None], [schema.target_col])):
-        infinite = np.argwhere(np.isinf(values))
-        if len(infinite):
-            day, node, col = infinite[0]
-            raise ParameterError(
-                f"{path}: infinite value at date={dates[day]} node={nodes[node]} column {columns[col]!r}"
-            )
+    panel = np.full((len(dates), len(nodes), len(columns)), np.nan)
+    panel[at_day, at_node] = np.frombuffer(values).reshape(-1, len(columns))
+    del values
+    infinite = np.argwhere(np.isinf(panel))
+    if len(infinite):
+        day, node, col = infinite[0]
+        raise ParameterError(
+            f"{path}: infinite value at date={dates[day]} node={nodes[node]} column {columns[col][0]!r}"
+        )
+    features = np.ascontiguousarray(panel[..., :-1])
+    targets = np.ascontiguousarray(panel[..., -1])
+    del panel
 
     # drop nodes with too many gapped days before trying to fill anything
     missing_days = np.isnan(features).any(axis=2).sum(axis=0)
-    keep = missing_days <= schema.max_missing_frac * len(dates)
+    keep = missing_days <= max_missing_frac * len(dates)
     dropped = [n for n, ok in zip(nodes, keep) if not ok]
     if dropped:
         warnings.warn(f"excluding nodes with too many missing days: {dropped}", stacklevel=2)
@@ -203,7 +182,7 @@ def load_panel_csv(path: str, schema: CsvSchema = CsvSchema()) -> PanelDataset:
     if not nodes:
         raise ParameterError(f"{path}: every node exceeded the missing-day threshold")
 
-    _forward_fill(features, dates, nodes, schema.ffill_limit, path)
+    _forward_fill(features, dates, nodes, ffill_limit, path)
     return PanelDataset(
         dates=dates,
         node_ids=nodes,
@@ -245,7 +224,7 @@ def write_panel_csv(ds: PanelDataset, path: str) -> None:
     """Long-format export; NaN targets become empty cells. Byte-deterministic."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "node_id", *ds.feature_names, "target"])
+        writer.writerow([DATE_COL, NODE_COL, *ds.feature_names, TARGET_COL])
         for d, date in enumerate(ds.dates):
             for n, node in enumerate(ds.node_ids):
                 target = ds.targets[d, n]
@@ -387,8 +366,8 @@ def synth_market(
     distractor = rng.standard_normal((n_days, n_nodes))
 
     ret_lag1 = np.vstack([np.zeros((1, n_nodes)), returns[:-1]])
-    roll_mean5 = _trailing_mean(returns, 5)
-    roll_std5 = _trailing_std(returns, 5)
+    roll_mean5 = _trailing(np.mean, returns, 5)
+    roll_std5 = _trailing(np.std, returns, 5)
     factor_proxy = factors[:, cluster] + proxy_sigma * factor_noise
     style_proxy = styles[cluster][None, :] + style_sigma * style_noise
 
@@ -424,15 +403,9 @@ def synth_market(
     )
 
 
-def _trailing_mean(x: np.ndarray, window: int) -> np.ndarray:
+def _trailing(reduce, x: np.ndarray, window: int) -> np.ndarray:
+    """`reduce(block, axis=0)` over each day's trailing `window` days (fewer at the start)."""
     out = np.empty_like(x)
     for d in range(x.shape[0]):
-        out[d] = x[max(0, d - window + 1) : d + 1].mean(axis=0)
-    return out
-
-
-def _trailing_std(x: np.ndarray, window: int) -> np.ndarray:
-    out = np.empty_like(x)
-    for d in range(x.shape[0]):
-        out[d] = x[max(0, d - window + 1) : d + 1].std(axis=0)
+        out[d] = reduce(x[max(0, d - window + 1) : d + 1], axis=0)
     return out

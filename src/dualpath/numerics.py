@@ -384,7 +384,11 @@ def softmax_lastaxis(x: Tensor) -> Tensor:
     if x.ndim < 1 or x.shape[-1] == 0:
         raise ShapeError(f"softmax needs a non-empty last axis, got shape {x.shape}")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    return _normalized(x, np.exp(shifted))
+
+
+def _normalized(x: Tensor, e: np.ndarray) -> Tensor:
+    """Softmax node over `x` from its unnormalized last-axis weights `e`."""
     data = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
@@ -464,14 +468,7 @@ def masked_softmax(x: Tensor, keep: np.ndarray) -> Tensor:
     if not np.atleast_1d(keep).any(axis=-1).all():
         raise ParameterError("masked_softmax needs at least one kept entry per row")
     top = np.where(keep, x.data, -np.inf).max(axis=-1, keepdims=True)
-    e = np.exp(np.where(keep, x.data - top, 0.0)) * keep
-    data = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        inner = (g * data).sum(axis=-1, keepdims=True)
-        x._accumulate(data * (g - inner))
-
-    return _make(data, (x,), bwd)
+    return _normalized(x, np.exp(np.where(keep, x.data - top, 0.0)) * keep)
 
 
 # -- reverse pass -------------------------------------------------------------

@@ -91,6 +91,7 @@ def test_train_malformed_config_file_exits_2(tmp_path, capsys, body):
 MALFORMED_CSVS = {
     "non_utf8": b"date,node_id,f1,target\n0,caf\xe9,1.0,0.01\n",
     "oversized_field": b"date,node_id,f1,target\n0,aa," + b"1" * 131_073 + b",0.01\n",
+    "repeated_column": b"date,node_id,f,f,target\n0,aa,1.0,2.0,0.01\n",
 }
 
 
@@ -190,6 +191,13 @@ def test_train_rejects_unknown_ablation_flag(tmp_path, capsys):
     code = run(["train", "--out", str(tmp_path / "run")] + set_args(["model.ablation=no_such_flag"]))
     assert code == 2
     assert "unknown ablation flags: ['no_such_flag']" in capsys.readouterr().err
+
+
+def test_train_rejects_split_fractions_not_summing_to_one(tmp_path, capsys):
+    code = run(["train", "--out", str(tmp_path / "run")] + set_args(["data.train_frac=0.5"]))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "sum to 1" in err
 
 
 def test_train_rejects_unknown_config_key(tmp_path):

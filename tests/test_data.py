@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dualpath.data import (
-    CsvSchema,
     PanelDataset,
     SplitSpec,
     cluster_labels,
@@ -100,7 +99,7 @@ def test_ingest_forward_fill_within_limit(tmp_path):
         if d != 2:  # node bb misses day 2 entirely
             rows.append(f"{d},bb,{float(10 + d)},2.0,0.0")
     write_csv(p, rows)
-    ds = load_panel_csv(str(p), CsvSchema(ffill_limit=3, max_missing_frac=0.5))
+    ds = load_panel_csv(str(p), ffill_limit=3, max_missing_frac=0.5)
     j = ds.node_ids.index("bb")
     assert ds.features[2, j, 0] == 11.0  # carried forward from day 1
     assert np.isnan(ds.targets[2, j])  # targets are never fabricated
@@ -115,7 +114,7 @@ def test_ingest_gap_beyond_limit_rejected(tmp_path):
             rows.append(f"{d},bb,{float(d)},2.0,0.0")
     write_csv(p, rows)
     with pytest.raises(ParameterError):
-        load_panel_csv(str(p), CsvSchema(ffill_limit=1, max_missing_frac=0.9))
+        load_panel_csv(str(p), ffill_limit=1, max_missing_frac=0.9)
 
 
 def test_ingest_excludes_mostly_missing_node_with_warning(tmp_path):
@@ -127,7 +126,7 @@ def test_ingest_excludes_mostly_missing_node_with_warning(tmp_path):
             rows.append(f"{d},bb,{float(d)},2.0,0.0")
     write_csv(p, rows)
     with pytest.warns(UserWarning, match="bb"):
-        ds = load_panel_csv(str(p), CsvSchema(max_missing_frac=0.2))
+        ds = load_panel_csv(str(p), max_missing_frac=0.2)
     assert ds.node_ids == ["aa"]
 
 
@@ -145,6 +144,29 @@ def test_ingest_oversized_field_names_line(tmp_path):
     with pytest.raises(ParameterError) as err:
         load_panel_csv(str(p))
     assert f"{p}:3:" in str(err.value)
+
+
+def test_ingest_key_column_order_free(tmp_path):
+    usual = ["0,aa,1.0,2.0,0.01", "0,bb,3.0,4.0,", "1,aa,5.0,6.0,0.02", "1,bb,7.0,8.0,0.03"]
+    shuffled = []
+    for row in usual:
+        date, node, f1, f2, target = row.split(",")
+        shuffled.append(",".join([target, f1, node, f2, date]))
+    p1, p2 = tmp_path / "usual.csv", tmp_path / "shuffled.csv"
+    write_csv(p1, usual)
+    write_csv(p2, shuffled, header="target,f1,node_id,f2,date")
+    a, b = load_panel_csv(str(p1)), load_panel_csv(str(p2))
+    assert (a.dates, a.node_ids, a.feature_names) == (b.dates, b.node_ids, b.feature_names)
+    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.targets, b.targets, equal_nan=True)
+    assert np.isnan(b.targets[0, 1])
+
+
+def test_ingest_repeated_column_rejected(tmp_path):
+    p = tmp_path / "panel.csv"
+    write_csv(p, ["0,aa,1.0,2.0,0.01"], header="date,node_id,f,f,target")
+    with pytest.raises(ParameterError, match="column 'f' appears more than once"):
+        load_panel_csv(str(p))
 
 
 def test_ingest_missing_required_column(tmp_path):
@@ -277,6 +299,12 @@ def test_make_windows_insufficient_days():
 def test_split_counts_must_sum():
     with pytest.raises(ParameterError):
         SplitSpec(5, 5, 5).resolve(20)
+
+
+def test_split_fractions_must_sum_to_one():
+    with pytest.raises(ParameterError, match="sum to 1"):
+        SplitSpec(0.5, 0.15, 0.15).resolve(100)
+    assert SplitSpec(1.0, 0.0, 0.0).resolve(100) == (100, 0, 0)
 
 
 def test_split_fraction_resolution():

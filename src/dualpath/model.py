@@ -42,12 +42,9 @@ from .numerics import (
     Tensor,
     concat,
     layer_norm,
-    masked_softmax,
     matmul,
-    permute,
     relu,
     reshape,
-    sigmoid,
     softmax_lastaxis,
     sum_,
     tanh,
@@ -152,7 +149,6 @@ def _layer_layout(config: ModelConfig, i: int) -> list[tuple[str, tuple[int, ...
                 ("imp_w1", (t, t), "xavier"),
                 ("imp_b1", (t,), "zeros"),
                 ("imp_w2", (t, 1), "xavier"),
-                ("imp_b2", (1,), "zeros"),
             ]
         out += [
             ("w_q", (d_in, d), "xavier"),
@@ -330,37 +326,70 @@ def importance_weights(x_inv: Tensor, lp: SimpleNamespace) -> tuple[Tensor, Tens
     and x_aug carrying w as one extra trailing element per token.
     """
     n, f, _ = x_inv.shape
+    # no output bias: one shared shift of every score leaves the softmax unchanged
     hidden = relu(matmul(x_inv, lp.imp_w1) + lp.imp_b1)
-    scores = matmul(hidden, lp.imp_w2) + lp.imp_b2
+    scores = matmul(hidden, lp.imp_w2)
     w = softmax_lastaxis(reshape(scores, (n, f)))
     x_aug = concat([x_inv, reshape(w, (n, f, 1))], axis=-1)
     return w, x_aug
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    # (N, F, d) -> (N, h, F, d/h)
-    n, f, d = x.shape
-    return permute(reshape(x, (n, f, n_heads, d // n_heads)), (0, 2, 1, 3))
+def _dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`x @ w` for a 2-D `w`, with the leading axes of `x` folded into one GEMM's rows."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
 
 
-def _merge_heads(x: Tensor) -> Tensor:
-    # (N, h, F, dh) -> (N, F, d)
-    n, h, f, dh = x.shape
-    return reshape(permute(x, (0, 2, 1, 3)), (n, f, h * dh))
+def _wgrad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of a 2-D weight applied as `x @ w`: leading axes fold into GEMM rows."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def _bgrad(g: np.ndarray) -> np.ndarray:
+    """Gradient of a bias added along the last axis."""
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
 def temporal_self_attention(x_aug: Tensor, lp: SimpleNamespace, n_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over each node's feature tokens."""
-    q = _split_heads(matmul(x_aug, lp.w_q), n_heads)
-    k = _split_heads(matmul(x_aug, lp.w_k), n_heads)
-    v = _split_heads(matmul(x_aug, lp.w_v), n_heads)
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    attn = softmax_lastaxis(matmul(q, transpose_last2(k)) * scale)
-    return matmul(_merge_heads(matmul(attn, v)), lp.w_o)
+    """Multi-head scaled dot-product attention over each node's feature tokens.
+
+    One graph node: the Q/K/V projections (one GEMM over the stacked
+    maps), per-head softmax(Q Kᵀ / √d_h) V, the head merge and the output
+    projection `w_o`.
+    """
+    x, w_o = x_aug.data, lp.w_o.data
+    w_qkv = np.concatenate([lp.w_q.data, lp.w_k.data, lp.w_v.data], axis=1)
+    n, f, _ = x.shape
+    d = w_o.shape[0]
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+    # (N, F, 3d) -> (3, N, h, F, d_h) views of the stacked Q, K, V heads
+    q, k, v = _dot(x, w_qkv).reshape(n, f, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    attn = nm.softmax_array((q @ k.swapaxes(-1, -2)) * scale)
+    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(n, f, d)
+
+    def grads(g):
+        g_ctx = _dot(g, w_o.T).reshape(n, f, n_heads, dh).transpose(0, 2, 1, 3)
+        g_s = nm.softmax_array_grad(attn, g_ctx @ v.swapaxes(-1, -2)) * scale
+        g_qkv = np.stack([g_s @ k, g_s.swapaxes(-1, -2) @ q, attn.swapaxes(-1, -2) @ g_ctx])
+        g_qkv = g_qkv.transpose(1, 3, 0, 2, 4).reshape(n, f, 3 * d)
+        g_x = _dot(g_qkv, w_qkv.T) if x_aug.requires_grad else None
+        return (g_x, *np.split(_wgrad(x, g_qkv), 3, axis=1), _wgrad(ctx, g))
+
+    return nm.fused(_dot(ctx, w_o), (x_aug, lp.w_q, lp.w_k, lp.w_v, lp.w_o), grads)
 
 
 def _ffd(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    return matmul(relu(matmul(x, w1) + b1), w2) + b2
+    """Token-wise feedforward relu(x w1 + b1) w2 + b2, as one graph node."""
+    pre = _dot(x.data, w1.data) + b1.data
+    hidden = np.maximum(pre, 0.0)
+
+    def grads(g):
+        # relu's subgradient at 0 taken as 0
+        g_pre = _dot(g, w2.data.T) * (pre > 0.0)
+        g_x = _dot(g_pre, w1.data.T) if x.requires_grad else None
+        return g_x, _wgrad(x.data, g_pre), _bgrad(g_pre), _wgrad(hidden, g), _bgrad(g)
+
+    return nm.fused(_dot(hidden, w2.data) + b2.data, (x, w1, b1, w2, b2), grads)
 
 
 def encode_temporal(x: Tensor, lp: SimpleNamespace, config: ModelConfig, layer_index: int) -> Tensor:
@@ -382,9 +411,21 @@ def encode_temporal(x: Tensor, lp: SimpleNamespace, config: ModelConfig, layer_i
 
 
 def _summary(a: Tensor, b: Tensor, w_q: Tensor, w_k: Tensor) -> Tensor:
-    """Sum `a` over its last axis, weighted by softmax((a w_q)(b w_k).T)."""
-    weights = softmax_lastaxis(matmul(matmul(a, w_q), transpose_last2(matmul(b, w_k))))
-    return sum_(weights * a, axis=-1)
+    """Sum `a` over its last axis, weighted by softmax((a w_q)(b w_k).T); one graph node."""
+    q = _dot(a.data, w_q.data)
+    k = _dot(b.data, w_k.data)
+    weights = nm.softmax_array(q @ k.swapaxes(-1, -2))
+
+    def grads(g):
+        g = g[..., None]
+        g_s = nm.softmax_array_grad(weights, g * a.data)
+        g_q = g_s @ k
+        g_k = g_s.swapaxes(-1, -2) @ q
+        g_a = g * weights + _dot(g_q, w_q.data.T) if a.requires_grad else None
+        g_b = _dot(g_k, w_k.data.T) if b.requires_grad else None
+        return g_a, g_b, _wgrad(a.data, g_q), _wgrad(b.data, g_k)
+
+    return nm.fused((weights * a.data).sum(axis=-1), (a, b, w_q, w_k), grads)
 
 
 def double_direction_fusion(z_i: Tensor, lp: SimpleNamespace) -> tuple[Tensor | None, Tensor | None]:
@@ -424,21 +465,45 @@ def ncorr_attention(
     shared across heads (derived from head-averaged scores) so the
     learned adjacency has exactly `n_keep` neighbors per node; returns
     the head-averaged attention matrix alongside the output tokens.
+    The value map is one `matmul` node; the query and key maps, scores,
+    masked softmax and value product are one more.
     """
     n, f, _ = z_i.shape
     d_g = w_v.shape[1]
     dh = d_g // n_heads
-
-    q = permute(reshape(matmul(h, w_q), (n, n_heads, dh)), (1, 0, 2))
-    k = permute(reshape(matmul(h, w_k), (n, n_heads, dh)), (1, 0, 2))
-    scores = matmul(q, transpose_last2(k)) * (1.0 / math.sqrt(dh))
-    attn = masked_softmax(scores, topn_keep_mask(scores.data.mean(axis=0), n_keep))
-
+    scale = 1.0 / math.sqrt(dh)
     v = matmul(z_i, w_v)
-    v_heads = reshape(permute(reshape(v, (n, f, n_heads, dh)), (2, 0, 1, 3)), (n_heads, n, f * dh))
-    ctx = matmul(attn, v_heads)
-    out = reshape(permute(reshape(ctx, (n_heads, n, f, dh)), (1, 2, 0, 3)), (n, f, d_g))
-    return out, attn.data.mean(axis=0)
+
+    # heads laid out contiguously and head-major, as the per-op composition
+    # kept in tests/test_model.py lays them out: the scores, and with them
+    # the top-n neighbours, agree with it bit for bit
+    def by_head(t):  # (N, d_g) -> (h, N, d_h)
+        return np.ascontiguousarray(t.reshape(n, n_heads, dh).transpose(1, 0, 2))
+
+    def tokens_by_head(t):  # (N, F, d_g) -> (h, N, F * d_h)
+        heads = np.ascontiguousarray(t.reshape(n, f, n_heads, dh).transpose(2, 0, 1, 3))
+        return heads.reshape(n_heads, n, f * dh)
+
+    def tokens_by_node(t):  # (h, N, F * d_h) -> (N, F, d_g)
+        return t.reshape(n_heads, n, f, dh).transpose(1, 2, 0, 3).reshape(n, f, d_g)
+
+    q = by_head(h.data @ w_q.data)
+    k_t = np.ascontiguousarray(by_head(h.data @ w_k.data).swapaxes(-1, -2))
+    scores = (q @ k_t) * scale
+    attn = nm.softmax_array(scores, topn_keep_mask(scores.mean(axis=0), n_keep))
+    v_heads = tokens_by_head(v.data)
+
+    def grads(g):
+        g_ctx = tokens_by_head(g)
+        g_s = nm.softmax_array_grad(attn, g_ctx @ v_heads.swapaxes(-1, -2)) * scale
+        g_q = (g_s @ k_t.swapaxes(-1, -2)).transpose(1, 0, 2).reshape(n, d_g)
+        g_k = (q.swapaxes(-1, -2) @ g_s).transpose(2, 0, 1).reshape(n, d_g)
+        g_h = g_q @ w_q.data.T + g_k @ w_k.data.T if h.requires_grad else None
+        g_v = tokens_by_node(attn.swapaxes(-1, -2) @ g_ctx)
+        return g_h, h.data.T @ g_q, h.data.T @ g_k, g_v
+
+    out = nm.fused(tokens_by_node(attn @ v_heads), (h, w_q, w_k, v), grads)
+    return out, attn.mean(axis=0)
 
 
 def dp_gate(
@@ -450,8 +515,8 @@ def dp_gate(
     """Blend the path encodings present (not None) through the double-path gate.
 
     Each present path passes its tanh self-gate; two paths then mix
-    through a sigmoid mutual gate. Under no_dpgate a lone path passes
-    through unchanged and two paths are averaged.
+    through a sigmoid mutual gate, all in one graph node. Under no_dpgate
+    a lone path passes through unchanged and two paths are averaged.
     """
     if o_feat is not None and o_temp is not None and o_feat.shape != o_temp.shape:
         raise ShapeError(f"path encodings disagree: {o_feat.shape} vs {o_temp.shape}")
@@ -459,12 +524,41 @@ def dp_gate(
         if o_feat is None or o_temp is None:
             return o_temp if o_feat is None else o_feat
         return (o_feat + o_temp) * 0.5
-    gated_feat = None if o_feat is None else tanh(matmul(o_feat, lp.ws_f) + lp.bs_f) * o_feat
-    gated_temp = None if o_temp is None else tanh(matmul(o_temp, lp.ws_t) + lp.bs_t) * o_temp
-    if gated_feat is None or gated_temp is None:
-        return gated_temp if gated_feat is None else gated_feat
-    mix = sigmoid(matmul(concat([o_feat, o_temp], axis=-1), lp.wm))
-    return gated_feat * mix + gated_temp * (1.0 - mix)
+    paths = []
+    if o_feat is not None:
+        paths.append((o_feat, lp.ws_f, lp.bs_f))
+    if o_temp is not None:
+        paths.append((o_temp, lp.ws_t, lp.bs_t))
+    gates = [np.tanh(_dot(o.data, w.data) + b.data) for o, w, b in paths]
+    gated = [t * o.data for t, (o, _, _) in zip(gates, paths)]
+    parents = [p for path in paths for p in path]
+    if len(paths) == 1:
+        out = gated[0]
+    else:
+        # concat([o_feat, o_temp]) @ wm, as one product per path with its rows of wm
+        d = lp.wm.shape[1]
+        mix_rows = (lp.wm.data[:d], lp.wm.data[d:])
+        mix = nm.sigmoid_array(_dot(o_feat.data, mix_rows[0]) + _dot(o_temp.data, mix_rows[1]))
+        out = gated[0] * mix + gated[1] * (1.0 - mix)
+        parents.append(lp.wm)
+
+    def grads(g):
+        if len(paths) == 1:
+            g_gated = [g]
+        else:
+            g_gated = [g * mix, g * (1.0 - mix)]
+            g_mix = g * (gated[0] - gated[1]) * mix * (1.0 - mix)
+        result, g_wm = [], []
+        for i, ((o, w, _), t, g_p) in enumerate(zip(paths, gates, g_gated)):
+            g_pre = g_p * o.data * (1.0 - t * t)
+            g_o = g_p * t + _dot(g_pre, w.data.T)
+            if len(paths) == 2:
+                g_o += _dot(g_mix, mix_rows[i].T)
+                g_wm.append(_wgrad(o.data, g_mix))
+            result += [g_o, _wgrad(o.data, g_pre), _bgrad(g_pre)]
+        return result + ([np.concatenate(g_wm)] if g_wm else [])
+
+    return nm.fused(out, parents, grads)
 
 
 def decode(m: Tensor, dec: SimpleNamespace) -> tuple[Tensor, Tensor, Tensor]:

@@ -4,8 +4,11 @@ Every array the network touches is a `Tensor`: a C-contiguous float64
 ndarray plus an optional gradient buffer and the links needed to replay
 the forward pass backwards. The op set is exactly what the model needs
 (matmul, softmax, top-n masked softmax, layer norm, the usual elementwise
-activations and reductions) and every differentiable op can be checked
-against central finite differences via `grad_check`.
+activations and reductions) plus `fused`, which records a whole
+composition as one node whose backward is derived by hand; its plain-array
+kernels (`softmax_array`, `softmax_array_grad`, `sigmoid_array`) are the
+ones the single ops use. Every differentiable op can be checked against
+central finite differences via `grad_check`.
 
 Graphs are per-result: each Tensor records its parents and a closure
 that routes the incoming gradient, so independent forward passes never
@@ -34,6 +37,7 @@ __all__ = [
     "backward",
     "concat",
     "exp",
+    "fused",
     "grad_check",
     "layer_norm",
     "masked_softmax",
@@ -43,6 +47,9 @@ __all__ = [
     "reshape",
     "permute",
     "sigmoid",
+    "sigmoid_array",
+    "softmax_array",
+    "softmax_array_grad",
     "softmax_lastaxis",
     "sqrt",
     "sum_",
@@ -165,6 +172,24 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], bwd) -> Tensor:
         out._parents = tuple(parents)
         out._backward = bwd
     return out
+
+
+def fused(data: np.ndarray, parents: Sequence[Tensor], grads: Callable) -> Tensor:
+    """One graph node for a whole composition, with a hand-derived backward.
+
+    `grads(g)` maps the gradient at the result to one gradient per
+    parent, each shaped like that parent. A parent's gradient is added
+    only where it records gradients; its entry may be None where it does
+    not, so a closure can skip work for constant inputs.
+    """
+    parents = tuple(parents)
+
+    def bwd(g):
+        for p, gp in zip(parents, grads(g)):
+            if p.requires_grad:
+                p._accumulate(gp)
+
+    return _make(data, parents, bwd)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -342,12 +367,15 @@ def tanh(x: Tensor) -> Tensor:
     return _make(data, (x,), bwd)
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic function of a plain array, overflow-free on both tails."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x: Tensor) -> Tensor:
     x = _wrap(x)
-    # evaluated branch-wise to stay overflow-free on both tails
-    d = x.data
-    e = np.exp(-np.abs(d))
-    data = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    data = sigmoid_array(x.data)
 
     def bwd(g):
         x._accumulate(g * data * (1.0 - data))
@@ -378,24 +406,37 @@ def sqrt(x: Tensor) -> Tensor:
 # -- structured ops -----------------------------------------------------------
 
 
+def softmax_array(x: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of a plain array along its last axis, stabilized by max
+    subtraction. With a boolean `keep` mask it runs over the kept entries
+    only: dropped entries reach `exp` as 0, not as a huge negative number,
+    and come out exactly 0."""
+    if keep is None:
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+    else:
+        top = np.where(keep, x, -np.inf).max(axis=-1, keepdims=True)
+        e = np.exp(np.where(keep, x - top, 0.0)) * keep
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_array_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at a softmax's input from its output `p` and the gradient `g` at `p`."""
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
+def _softmax_node(x: Tensor, data: np.ndarray) -> Tensor:
+    def bwd(g):
+        x._accumulate(softmax_array_grad(data, g))
+
+    return _make(data, (x,), bwd)
+
+
 def softmax_lastaxis(x: Tensor) -> Tensor:
     """Softmax along the last axis, stabilized by max subtraction."""
     x = _wrap(x)
     if x.ndim < 1 or x.shape[-1] == 0:
         raise ShapeError(f"softmax needs a non-empty last axis, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    return _normalized(x, np.exp(shifted))
-
-
-def _normalized(x: Tensor, e: np.ndarray) -> Tensor:
-    """Softmax node over `x` from its unnormalized last-axis weights `e`."""
-    data = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        inner = (g * data).sum(axis=-1, keepdims=True)
-        x._accumulate(data * (g - inner))
-
-    return _make(data, (x,), bwd)
+    return _softmax_node(x, softmax_array(x.data))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -454,8 +495,7 @@ def masked_softmax(x: Tensor, keep: np.ndarray) -> Tensor:
     `keep` is a constant boolean mask that broadcasts to `x` (an N x N
     mask serves every head of H x N x N scores); each row must keep at
     least one entry. Dropped entries get probability exactly 0 and no
-    gradient. Dropped entries reach `exp` as 0, not as a huge negative
-    number, so a sparse mask pays for no underflowing exponentials.
+    gradient, and a sparse mask pays for no underflowing exponentials.
     """
     x = _wrap(x)
     keep = np.asarray(keep, dtype=bool)
@@ -467,8 +507,7 @@ def masked_softmax(x: Tensor, keep: np.ndarray) -> Tensor:
         raise ShapeError(f"mask shape {keep.shape} does not broadcast to input {x.shape}")
     if not np.atleast_1d(keep).any(axis=-1).all():
         raise ParameterError("masked_softmax needs at least one kept entry per row")
-    top = np.where(keep, x.data, -np.inf).max(axis=-1, keepdims=True)
-    return _normalized(x, np.exp(np.where(keep, x.data - top, 0.0)) * keep)
+    return _softmax_node(x, softmax_array(x.data, keep))
 
 
 # -- reverse pass -------------------------------------------------------------

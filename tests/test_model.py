@@ -1,14 +1,18 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dualpath import numerics as nm
+from dualpath.loss import LossConfig, total_loss
 from dualpath.model import (
     ABLATION_FLAGS,
     ModelConfig,
     ModelParams,
+    _ffd,
+    _summary,
     decode,
     double_direction_fusion,
     dp_gate,
@@ -661,8 +665,8 @@ def test_every_accepted_ablation_runs_and_trains_every_parameter(flags):
     assert (maps.feature[0] is None) == ("no_feature_path" in flags)
     assert (maps.temporal[0] is None) == ("no_temporal_path" in flags)
     nm.sum_(y_hat * Tensor(np.linspace(-1.0, 1.0, 4)[:, None])).backward()
-    # a parameter the graph never reaches keeps grad None (imp_b2's is an exact
-    # zero by softmax shift invariance, so only reachability is asserted)
+    # a parameter the graph never reaches keeps grad None (a true gradient can
+    # be exactly zero, so only reachability is asserted)
     for name, t in params.named().items():
         assert t.grad is not None and np.isfinite(t.grad).all(), name
 
@@ -732,6 +736,18 @@ def test_checkpoint_rejects_wrong_config(tmp_path):
         load_checkpoint(path, other)
 
 
+def test_checkpoint_with_the_dropped_importance_bias_is_rejected(tmp_path):
+    # checkpoints from before the importance MLP lost its output bias hold
+    # enc0.imp_b2; loading one fails loudly and names it
+    cfg = small_config()
+    named = {name: t.data for name, t in ModelParams.init(cfg, seed=36).named().items()}
+    named["enc0.imp_b2"] = np.zeros(1)
+    path = str(tmp_path / "older.bin")
+    write_named_tensors(path, named)
+    with pytest.raises(ParameterError, match="enc0.imp_b2"):
+        load_checkpoint(path, cfg)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a checkpoint at all")
@@ -777,3 +793,219 @@ def test_checkpoint_in_older_tensor_order_loads_and_scores_identically(tmp_path)
     expected, _ = forward(x, params, cfg)
     got, _ = forward(x, loaded, cfg)
     assert np.array_equal(got.data, expected.data)
+
+
+# -- fused stages ---------------------------------------------------------------
+#
+# Each fused stage is one graph node with a hand-derived backward. The
+# per-op compositions they replaced are kept here as oracles: outputs and
+# every gradient must agree to 1e-12 of the tensor's largest entry (or
+# 1e-15 absolute), and every input and weight passes `grad_check`.
+
+
+def _op_nodes(root):
+    # the walk perfbench/micro.py's `_op_nodes` counts: nodes whose backward runs
+    seen, stack, count = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        count += node._backward is not None
+        stack.extend(node._parents)
+    return count
+
+
+def _mha_composition(x_aug, lp, n_heads):
+    def split_heads(x):
+        n, f, d = x.shape
+        return nm.permute(nm.reshape(x, (n, f, n_heads, d // n_heads)), (0, 2, 1, 3))
+
+    def merge_heads(x):
+        n, h, f, dh = x.shape
+        return nm.reshape(nm.permute(x, (0, 2, 1, 3)), (n, f, h * dh))
+
+    q = split_heads(nm.matmul(x_aug, lp.w_q))
+    k = split_heads(nm.matmul(x_aug, lp.w_k))
+    v = split_heads(nm.matmul(x_aug, lp.w_v))
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    attn = nm.softmax_lastaxis(nm.matmul(q, nm.transpose_last2(k)) * scale)
+    return nm.matmul(merge_heads(nm.matmul(attn, v)), lp.w_o)
+
+
+def _ffd_composition(x, w1, b1, w2, b2):
+    return nm.matmul(nm.relu(nm.matmul(x, w1) + b1), w2) + b2
+
+
+def _summary_composition(a, b, w_q, w_k):
+    weights = nm.softmax_lastaxis(nm.matmul(nm.matmul(a, w_q), nm.transpose_last2(nm.matmul(b, w_k))))
+    return nm.sum_(weights * a, axis=-1)
+
+
+def _ncorr_composition(h, z_i, w_q, w_k, w_v, n_keep, n_heads):
+    n, f, _ = z_i.shape
+    d_g = w_v.shape[1]
+    dh = d_g // n_heads
+    q = nm.permute(nm.reshape(nm.matmul(h, w_q), (n, n_heads, dh)), (1, 0, 2))
+    k = nm.permute(nm.reshape(nm.matmul(h, w_k), (n, n_heads, dh)), (1, 0, 2))
+    scores = nm.matmul(q, nm.transpose_last2(k)) * (1.0 / math.sqrt(dh))
+    attn = nm.masked_softmax(scores, nm.topn_keep_mask(scores.data.mean(axis=0), n_keep))
+    v = nm.matmul(z_i, w_v)
+    v_heads = nm.reshape(nm.permute(nm.reshape(v, (n, f, n_heads, dh)), (2, 0, 1, 3)), (n_heads, n, f * dh))
+    ctx = nm.matmul(attn, v_heads)
+    out = nm.reshape(nm.permute(nm.reshape(ctx, (n_heads, n, f, dh)), (1, 2, 0, 3)), (n, f, d_g))
+    return out, attn.data.mean(axis=0)
+
+
+def _gate_composition(o_feat, o_temp, ws_f=None, bs_f=None, ws_t=None, bs_t=None, wm=None):
+    gated_feat = None if o_feat is None else nm.tanh(nm.matmul(o_feat, ws_f) + bs_f) * o_feat
+    gated_temp = None if o_temp is None else nm.tanh(nm.matmul(o_temp, ws_t) + bs_t) * o_temp
+    if gated_feat is None or gated_temp is None:
+        return gated_temp if gated_feat is None else gated_feat
+    mix = nm.sigmoid(nm.matmul(nm.concat([o_feat, o_temp], axis=-1), wm))
+    return gated_feat * mix + gated_temp * (1.0 - mix)
+
+
+def _gate_fused(o_feat, o_temp, **weights):
+    return dp_gate(o_feat, o_temp, SimpleNamespace(**weights))
+
+
+FUSED_CFG = small_config(n_nodes=5, n_features=3, lookback=4, d_model=8, n_heads=2, ffd_hidden=6)
+
+
+def _fused_case(name):
+    """(fused build, oracle build, named inputs, names grad_check skips) for one case.
+
+    Inputs are 1e0-scale random values (weights from a layer-0 init); a
+    build maps the inputs, in order, to the stage's output tensor.
+    """
+    cfg = FUSED_CFG
+    lp = ModelParams.init(cfg, seed=60).layers[0]
+    rng = np.random.default_rng(list(name.encode()))
+    n, f, d = cfg.n_nodes, cfg.n_features, cfg.d_model
+
+    def rand(*shape):
+        return rng.standard_normal(shape)
+
+    if name == "mha":
+        def run(mha):
+            return lambda x, w_q, w_k, w_v, w_o: mha(
+                x, SimpleNamespace(w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o), cfg.n_heads
+            )
+
+        inputs = {"x_aug": rand(n, f, cfg.layer_input_width(0))}
+        inputs.update((k, getattr(lp, k).data) for k in ("w_q", "w_k", "w_v", "w_o"))
+        return run(temporal_self_attention), run(_mha_composition), inputs, ()
+    if name == "ffd":
+        inputs = {"x": rand(n, f, d), "w1": lp.ffd1_w1.data, "b1": rand(cfg.ffd_width),
+                  "w2": lp.ffd1_w2.data, "b2": rand(d)}
+        return _ffd, _ffd_composition, inputs, ()
+    if name.startswith("summary"):
+        z_i = rand(n, f, d)
+        z = np.ascontiguousarray(z_i.swapaxes(-1, -2))
+        if name == "summary_temporal":
+            inputs = {"a": z, "b": z_i, "w_q": lp.fus_wq.data, "w_k": lp.fus_wki.data}
+        else:
+            inputs = {"a": z_i, "b": z, "w_q": lp.fus_wqi.data, "w_k": lp.fus_wk.data}
+        return _summary, _summary_composition, inputs, ()
+    if name.startswith("ncorr"):
+        def run(ncorr):
+            return lambda h, z_i, w_q, w_k, w_v: ncorr(h, z_i, w_q, w_k, w_v, 2, cfg.n_heads)[0]
+
+        h = rand(n, d)
+        skip = ()
+        if name == "ncorr_tied":
+            # identical node summaries tie every score in a row, so the mask
+            # keeps the lowest columns; only a change of h could break the tie
+            h = np.tile(h[:1], (n, 1))
+            skip = ("h",)
+        inputs = {"h": h, "z_i": rand(n, f, d), "w_q": lp.qg_temp.data,
+                  "w_k": rand(d, d) / math.sqrt(d), "w_v": lp.vg.data}
+        return run(ncorr_attention), run(_ncorr_composition), inputs, skip
+    o_feat = {"o_feat": rand(n, f, d), "ws_f": lp.ws_f.data, "bs_f": rand(d)}
+    o_temp = {"o_temp": rand(n, f, d), "ws_t": lp.ws_t.data, "bs_t": rand(d)}
+    if name == "gate_two_paths":
+        inputs = {**o_feat, **o_temp, "wm": rand(2 * d, d) / math.sqrt(d)}
+    else:
+        inputs = o_feat if name == "gate_feature_only" else o_temp
+
+    def run(gate_fn):
+        def build(*tensors):
+            named = dict(zip(inputs, tensors))
+            return gate_fn(named.pop("o_feat", None), named.pop("o_temp", None), **named)
+
+        return build
+
+    return run(_gate_fused), run(_gate_composition), inputs, ()
+
+
+FUSED_CASES = [
+    "mha", "ffd", "summary_temporal", "summary_feature", "ncorr", "ncorr_tied",
+    "gate_two_paths", "gate_feature_only", "gate_temporal_only",
+]
+
+
+def _run_seeded(build, inputs, upstream):
+    leaves = [Tensor(v.copy(), requires_grad=True) for v in inputs.values()]
+    out = build(*leaves)
+    nm.sum_(out * Tensor(upstream)).backward()
+    return out.data, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("case", FUSED_CASES)
+def test_fused_stage_is_one_node_matching_its_composition(case):
+    fused, oracle, inputs, _ = _fused_case(case)
+    out = fused(*[Tensor(v, requires_grad=True) for v in inputs.values()])
+    # ncorr_attention's value map stays a matmul node of its own
+    assert _op_nodes(out) == (2 if case.startswith("ncorr") else 1)
+    upstream = np.random.default_rng(61).standard_normal(out.shape)
+    got_out, got_grads = _run_seeded(fused, inputs, upstream)
+    want_out, want_grads = _run_seeded(oracle, inputs, upstream)
+    for name, got, want in zip(["out", *inputs], [got_out, *got_grads], [want_out, *want_grads]):
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= max(1e-12 * np.abs(want).max(), 1e-15), name
+
+
+@pytest.mark.parametrize("case", FUSED_CASES)
+def test_fused_stage_gradients_match_fd(case):
+    fused, _, inputs, skip = _fused_case(case)
+    upstream = Tensor(np.random.default_rng(62).standard_normal(fused(*map(Tensor, inputs.values())).shape))
+    for name in inputs:
+        if name in skip:
+            continue
+
+        def f(t, name=name):
+            args = [t if key == name else Tensor(v) for key, v in inputs.items()]
+            return nm.sum_(fused(*args) * upstream)
+
+        report = nm.grad_check(f, Tensor(inputs[name]))
+        assert report.max_rel_err < 1e-5, (case, name, report)
+
+
+def test_fused_ncorr_with_tied_scores_keeps_the_lowest_columns():
+    fused, oracle, inputs, _ = _fused_case("ncorr_tied")
+    args = [Tensor(v) for v in inputs.values()]
+    _, attn = ncorr_attention(*args, 2, FUSED_CFG.n_heads)
+    _, want = _ncorr_composition(*args, 2, FUSED_CFG.n_heads)
+    assert np.array_equal(attn > 0, want > 0)
+    assert (attn[:, :2] == 0.5).all() and (attn[:, 2:] == 0.0).all()
+
+
+def test_fused_stage_skips_constant_inputs():
+    # a stage input that records no gradient gets none, the weights still do
+    _, _, inputs, _ = _fused_case("mha")
+    lp = ModelParams.init(FUSED_CFG, seed=60).layers[0]
+    x = Tensor(inputs["x_aug"])
+    nm.sum_(temporal_self_attention(x, lp, FUSED_CFG.n_heads)).backward()
+    assert x.grad is None
+    assert all(getattr(lp, k).grad is not None for k in ("w_q", "w_k", "w_v", "w_o"))
+
+
+def test_desk_day_step_graph_node_count():
+    # one fused node per stage; a stage split back into per-op nodes raises it
+    cfg = ModelConfig(n_nodes=50, n_features=8, lookback=30, horizon=1, d_model=32, n_heads=4, n_layers=1)
+    params = ModelParams.init(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    y_hat, _ = forward(rng.standard_normal((50, 30, 8)), params, cfg)
+    loss = total_loss(y_hat, Tensor(rng.standard_normal((50, 1))), LossConfig())
+    assert _op_nodes(loss) == 64

@@ -373,6 +373,26 @@ def test_backward_requires_scalar():
         (x * x).backward()
 
 
+def test_fused_node_adds_gradients_only_to_parents_that_record_them():
+    # f(a, b, c) = a * b + c as one node; b is a constant and gets None
+    rng = np.random.default_rng(14)
+    a = Tensor(rng.standard_normal(3), requires_grad=True)
+    b = Tensor(rng.standard_normal(3))
+    c = Tensor(rng.standard_normal(3), requires_grad=True)
+    out = nm.fused(a.data * b.data + c.data, (a, b, c), lambda g: (g * b.data, None, g))
+    assert out.requires_grad and out._parents == (a, b, c)
+    nm.sum_(out).backward()
+    assert np.array_equal(a.grad, b.data) and b.grad is None and np.array_equal(c.grad, np.ones(3))
+    report = grad_check(lambda t: nm.sum_(nm.fused(t.data * b.data, (t,), lambda g: (g * b.data,))), a)
+    assert report.max_rel_err < 1e-6
+
+
+def test_fused_node_over_constants_records_nothing():
+    x = Tensor(np.ones(2))
+    out = nm.fused(x.data * 2.0, (x,), lambda g: (g * 2.0,))
+    assert not out.requires_grad and out._backward is None and out._parents == ()
+
+
 def test_transpose_involution_bitwise():
     rng = np.random.default_rng(6)
     x = Tensor(rng.standard_normal((3, 4, 5)))

@@ -3,13 +3,21 @@ import pytest
 
 from dualpath.data import SplitSpec, make_windows, normalize_features, synth_market
 from dualpath.metrics import DailyScores, information_coefficient
-from dualpath.model import ModelConfig, ModelParams, forward, load_checkpoint, save_checkpoint
+from dualpath.model import (
+    ABLATION_FLAGS,
+    ModelConfig,
+    ModelParams,
+    forward,
+    load_checkpoint,
+    save_checkpoint,
+)
 from dualpath.numerics import NumericError, ParameterError, Tensor
 from dualpath.train import (
     Adam,
     TrainConfig,
     ablation_suite,
     evaluate,
+    model_grad_check,
     predict,
     predict_scores,
     sweep,
@@ -305,3 +313,17 @@ def test_default_model_config_matches_reference_settings():
     assert cfg.n_layers == 3
     assert cfg.topn_ratio == 0.1
     assert cfg.n_keep == 50
+
+
+@pytest.mark.parametrize("flag", [None, *ABLATION_FLAGS])
+def test_model_grad_check_full_model_and_each_ablation(flag):
+    # end to end through every fused stage: the lone-path gate, no_itblock's
+    # affine block and the importance-free first layer included
+    cfg = ModelConfig(
+        n_nodes=3, n_features=2, lookback=4, horizon=1, d_model=4, n_heads=2,
+        n_layers=1, ffd_hidden=4, topn_ratio=0.5, ablation={flag} if flag else set(),
+    )
+    params = ModelParams.init(cfg, seed=70)
+    rng = np.random.default_rng(70)
+    report = model_grad_check(cfg, params, rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 1)))
+    assert report.max_rel_err < 1e-4, report

@@ -3,9 +3,13 @@
 Subcommands: gen-data, train, backtest, ablate, sweep, export-attention.
 Configuration is a flat INI file with one section per module ([data],
 [model], [train], [loss], [backtest]); command-line --set section.key=value
-overrides win over the file, which wins over built-in desk-scale defaults.
-Unknown sections, keys or flags are hard errors. Exit codes: 0 success,
-2 configuration error, 3 numeric failure.
+overrides win over the file, which wins over the built-in defaults. The
+[model], [train] and [loss] keys are the fields of ModelConfig (less
+n_nodes and n_features, which come from the panel), TrainConfig and
+LossConfig, read as each field's type with its default; ffd_hidden=auto
+means d_model. The only departures are the desk-scale d_model=32 and
+n_layers=1. Unknown sections, keys or flags are hard errors. Exit codes:
+0 success, 2 configuration error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -13,8 +17,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import os
 import sys
+import typing
+
 import numpy as np
 
 from .data import (
@@ -38,8 +45,32 @@ class ConfigError(ParameterError):
     """Bad configuration file, key or value."""
 
 
-# Desk-scale defaults; the reference full-scale settings (d_model 256,
-# 3 layers, 4 heads, window 30) remain reachable through the config file.
+# the only desk-scale departures from the dataclass defaults; the reference
+# settings (d_model 256, 3 layers) stay reachable through the config file
+DESK_SCALE = {"model": {"d_model": 32, "n_layers": 1}}
+
+# sections whose keys, types and defaults are the fields of one config dataclass
+_SETTINGS = {"model": ModelConfig, "train": TrainConfig, "loss": LossConfig}
+# ModelConfig fields taken from the panel, not from the config
+_FROM_PANEL = ("n_nodes", "n_features")
+
+
+def _settings_defaults(section: str) -> dict[str, str]:
+    desk = DESK_SCALE.get(section, {})
+    out = {}
+    for f in dataclasses.fields(_SETTINGS[section]):
+        if f.name in _FROM_PANEL:
+            continue
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        value = desk.get(f.name, default)
+        if value is None:
+            value = "auto"
+        elif isinstance(value, frozenset):
+            value = ",".join(sorted(value))
+        out[f.name] = str(value)
+    return out
+
+
 DEFAULTS: dict[str, dict[str, str]] = {
     "data": {
         "source": "synthetic",
@@ -53,27 +84,7 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "val_frac": "0.15",
         "test_frac": "0.15",
     },
-    "model": {
-        "lookback": "30",
-        "horizon": "1",
-        "d_model": "32",
-        "n_heads": "4",
-        "n_layers": "1",
-        "ffd_hidden": "auto",
-        "topn_ratio": "0.1",
-        "ablation": "",
-    },
-    "train": {
-        "epochs": "30",
-        "learning_rate": "0.001",
-        "beta1": "0.9",
-        "beta2": "0.999",
-        "adam_eps": "1e-8",
-        "seed": "0",
-        "patience": "10",
-        "accum_days": "1",
-    },
-    "loss": {"lambda_m": "0.1", "eps": "1e-8"},
+    **{section: _settings_defaults(section) for section in _SETTINGS},
     "backtest": {"top_frac": "0.1"},
 }
 
@@ -114,23 +125,21 @@ def load_config(path: str | None, overrides: list[str]) -> dict[str, dict[str, s
     return merged
 
 
-def _as_int(section: str, key: str, value: str) -> int:
+def _parse(cfg: dict[str, dict[str, str]], section: str, key: str, kind):
+    """Read one config value as `kind`: int, float, `int | None` spelled auto, or a flag list."""
+    value = cfg[section][key]
+    if kind == frozenset:
+        # a comma list; ModelConfig rejects unknown flags
+        return frozenset(flag.strip() for flag in value.split(",") if flag.strip())
+    if kind == int | None:
+        if value == "auto":
+            return None
+        kind = int
+    noun = {int: "an integer", float: "a number"}[kind]
     try:
-        return int(value)
+        return kind(value)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}={value!r} is not an integer") from None
-
-
-def _as_float(section: str, key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}={value!r} is not a number") from None
-
-
-def _parse_ablation(value: str) -> frozenset:
-    """Split the comma list; ModelConfig rejects unknown flags."""
-    return frozenset(f.strip() for f in value.split(",") if f.strip())
+        raise ConfigError(f"[{section}] {key}={value!r} is not {noun}") from None
 
 
 def build_dataset(cfg: dict[str, dict[str, str]]) -> PanelDataset:
@@ -138,11 +147,11 @@ def build_dataset(cfg: dict[str, dict[str, str]]) -> PanelDataset:
     source = data["source"]
     if source == "synthetic":
         return synth_market(
-            n_nodes=_as_int("data", "nodes", data["nodes"]),
-            n_days=_as_int("data", "days", data["days"]),
-            n_features=_as_int("data", "features", data["features"]),
-            n_clusters=_as_int("data", "clusters", data["clusters"]),
-            seed=_as_int("data", "seed", data["seed"]),
+            n_nodes=_parse(cfg, "data", "nodes", int),
+            n_days=_parse(cfg, "data", "days", int),
+            n_features=_parse(cfg, "data", "features", int),
+            n_clusters=_parse(cfg, "data", "clusters", int),
+            seed=_parse(cfg, "data", "seed", int),
         )
     if source == "csv":
         if not data["csv"]:
@@ -152,51 +161,26 @@ def build_dataset(cfg: dict[str, dict[str, str]]) -> PanelDataset:
 
 
 def build_split(cfg: dict[str, dict[str, str]]) -> SplitSpec:
-    data = cfg["data"]
     return SplitSpec(
-        train=_as_float("data", "train_frac", data["train_frac"]),
-        val=_as_float("data", "val_frac", data["val_frac"]),
-        test=_as_float("data", "test_frac", data["test_frac"]),
+        train=_parse(cfg, "data", "train_frac", float),
+        val=_parse(cfg, "data", "val_frac", float),
+        test=_parse(cfg, "data", "test_frac", float),
     )
+
+
+def build_settings(cfg: dict[str, dict[str, str]], section: str, **panel):
+    """The [model], [train] or [loss] section as its config dataclass."""
+    cls = _SETTINGS[section]
+    hints = typing.get_type_hints(cls)
+    return cls(**panel, **{key: _parse(cfg, section, key, hints[key]) for key in cfg[section]})
 
 
 def build_model_config(cfg: dict[str, dict[str, str]], ds: PanelDataset) -> ModelConfig:
-    model = cfg["model"]
-    ffd = None if model["ffd_hidden"] == "auto" else _as_int("model", "ffd_hidden", model["ffd_hidden"])
-    return ModelConfig(
-        n_nodes=ds.n_nodes,
-        n_features=ds.n_features,
-        lookback=_as_int("model", "lookback", model["lookback"]),
-        horizon=_as_int("model", "horizon", model["horizon"]),
-        d_model=_as_int("model", "d_model", model["d_model"]),
-        n_heads=_as_int("model", "n_heads", model["n_heads"]),
-        n_layers=_as_int("model", "n_layers", model["n_layers"]),
-        ffd_hidden=ffd,
-        topn_ratio=_as_float("model", "topn_ratio", model["topn_ratio"]),
-        ablation=_parse_ablation(model["ablation"]),
-    )
+    return build_settings(cfg, "model", n_nodes=ds.n_nodes, n_features=ds.n_features)
 
 
-def build_train_config(cfg: dict[str, dict[str, str]]) -> TrainConfig:
-    train = cfg["train"]
-    return TrainConfig(
-        epochs=_as_int("train", "epochs", train["epochs"]),
-        learning_rate=_as_float("train", "learning_rate", train["learning_rate"]),
-        beta1=_as_float("train", "beta1", train["beta1"]),
-        beta2=_as_float("train", "beta2", train["beta2"]),
-        adam_eps=_as_float("train", "adam_eps", train["adam_eps"]),
-        seed=_as_int("train", "seed", train["seed"]),
-        patience=_as_int("train", "patience", train["patience"]),
-        accum_days=_as_int("train", "accum_days", train["accum_days"]),
-    )
-
-
-def build_loss_config(cfg: dict[str, dict[str, str]]) -> LossConfig:
-    loss = cfg["loss"]
-    return LossConfig(
-        lambda_m=_as_float("loss", "lambda_m", loss["lambda_m"]),
-        eps=_as_float("loss", "eps", loss["eps"]),
-    )
+def _top_frac(cfg: dict[str, dict[str, str]]) -> float:
+    return _parse(cfg, "backtest", "top_frac", float)
 
 
 def prepare_pipeline(cfg: dict[str, dict[str, str]]):
@@ -308,8 +292,8 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set or [])
     ds, splits, model_cfg = prepare_pipeline(cfg)
-    train_cfg = build_train_config(cfg)
-    loss_cfg = build_loss_config(cfg)
+    train_cfg = build_settings(cfg, "train")
+    loss_cfg = build_settings(cfg, "loss")
     train_samples, val_samples, _ = splits
     if not train_samples:
         raise ConfigError("training split is empty; increase days or train_frac")
@@ -345,8 +329,7 @@ def cmd_backtest(args) -> int:
     _, _, test_samples = splits
     if not test_samples:
         raise ConfigError("test split is empty; nothing to backtest")
-    top_frac = _as_float("backtest", "top_frac", cfg["backtest"]["top_frac"])
-    report = evaluate(params, model_cfg, test_samples, top_frac)
+    report = evaluate(params, model_cfg, test_samples, _top_frac(cfg))
     out_dir = args.out or args.run
     os.makedirs(out_dir, exist_ok=True)
     text = format_report(report)
@@ -369,9 +352,9 @@ def cmd_ablate(args) -> int:
     rows = ablation_suite(
         splits,
         model_cfg,
-        build_train_config(cfg),
-        build_loss_config(cfg),
-        top_frac=_as_float("backtest", "top_frac", cfg["backtest"]["top_frac"]),
+        build_settings(cfg, "train"),
+        build_settings(cfg, "loss"),
+        top_frac=_top_frac(cfg),
     )
     _write_table(os.path.join(args.out, "ablation.csv"), rows, ["label", "IC", "A_RET", "SHARPE"])
     return 0
@@ -386,9 +369,9 @@ def cmd_sweep(args) -> int:
         layer_grid=_parse_grid(args.layers, "layers"),
         head_grid=_parse_grid(args.heads, "heads"),
         dim_grid=_parse_grid(args.dims, "dims"),
-        train_cfg=build_train_config(cfg),
-        loss_cfg=build_loss_config(cfg),
-        top_frac=_as_float("backtest", "top_frac", cfg["backtest"]["top_frac"]),
+        train_cfg=build_settings(cfg, "train"),
+        loss_cfg=build_settings(cfg, "loss"),
+        top_frac=_top_frac(cfg),
     )
     columns = ["n_layers", "n_heads", "d_model", "IC", "A_RET", "SHARPE"]
     _write_table(os.path.join(args.out, "sweep.csv"), rows, columns)

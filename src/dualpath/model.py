@@ -41,6 +41,9 @@ from .numerics import (
     ShapeError,
     Tensor,
     concat,
+    fold_bgrad,
+    fold_dot,
+    fold_wgrad,
     layer_norm,
     matmul,
     relu,
@@ -334,21 +337,6 @@ def importance_weights(x_inv: Tensor, lp: SimpleNamespace) -> tuple[Tensor, Tens
     return w, x_aug
 
 
-def _dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """`x @ w` for a 2-D `w`, with the leading axes of `x` folded into one GEMM's rows."""
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
-
-
-def _wgrad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of a 2-D weight applied as `x @ w`: leading axes fold into GEMM rows."""
-    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-
-
-def _bgrad(g: np.ndarray) -> np.ndarray:
-    """Gradient of a bias added along the last axis."""
-    return g.reshape(-1, g.shape[-1]).sum(axis=0)
-
-
 def temporal_self_attention(x_aug: Tensor, lp: SimpleNamespace, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over each node's feature tokens.
 
@@ -363,33 +351,33 @@ def temporal_self_attention(x_aug: Tensor, lp: SimpleNamespace, n_heads: int) ->
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
     # (N, F, 3d) -> (3, N, h, F, d_h) views of the stacked Q, K, V heads
-    q, k, v = _dot(x, w_qkv).reshape(n, f, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    q, k, v = fold_dot(x, w_qkv).reshape(n, f, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     attn = nm.softmax_array((q @ k.swapaxes(-1, -2)) * scale)
     ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(n, f, d)
 
     def grads(g):
-        g_ctx = _dot(g, w_o.T).reshape(n, f, n_heads, dh).transpose(0, 2, 1, 3)
+        g_ctx = fold_dot(g, w_o.T).reshape(n, f, n_heads, dh).transpose(0, 2, 1, 3)
         g_s = nm.softmax_array_grad(attn, g_ctx @ v.swapaxes(-1, -2)) * scale
         g_qkv = np.stack([g_s @ k, g_s.swapaxes(-1, -2) @ q, attn.swapaxes(-1, -2) @ g_ctx])
         g_qkv = g_qkv.transpose(1, 3, 0, 2, 4).reshape(n, f, 3 * d)
-        g_x = _dot(g_qkv, w_qkv.T) if x_aug.requires_grad else None
-        return (g_x, *np.split(_wgrad(x, g_qkv), 3, axis=1), _wgrad(ctx, g))
+        g_x = fold_dot(g_qkv, w_qkv.T) if x_aug.requires_grad else None
+        return (g_x, *np.split(fold_wgrad(x, g_qkv), 3, axis=1), fold_wgrad(ctx, g))
 
-    return nm.fused(_dot(ctx, w_o), (x_aug, lp.w_q, lp.w_k, lp.w_v, lp.w_o), grads)
+    return nm.fused(fold_dot(ctx, w_o), (x_aug, lp.w_q, lp.w_k, lp.w_v, lp.w_o), grads)
 
 
 def _ffd(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Token-wise feedforward relu(x w1 + b1) w2 + b2, as one graph node."""
-    pre = _dot(x.data, w1.data) + b1.data
+    pre = fold_dot(x.data, w1.data) + b1.data
     hidden = np.maximum(pre, 0.0)
 
     def grads(g):
         # relu's subgradient at 0 taken as 0
-        g_pre = _dot(g, w2.data.T) * (pre > 0.0)
-        g_x = _dot(g_pre, w1.data.T) if x.requires_grad else None
-        return g_x, _wgrad(x.data, g_pre), _bgrad(g_pre), _wgrad(hidden, g), _bgrad(g)
+        g_pre = fold_dot(g, w2.data.T) * (pre > 0.0)
+        g_x = fold_dot(g_pre, w1.data.T) if x.requires_grad else None
+        return g_x, fold_wgrad(x.data, g_pre), fold_bgrad(g_pre), fold_wgrad(hidden, g), fold_bgrad(g)
 
-    return nm.fused(_dot(hidden, w2.data) + b2.data, (x, w1, b1, w2, b2), grads)
+    return nm.fused(fold_dot(hidden, w2.data) + b2.data, (x, w1, b1, w2, b2), grads)
 
 
 def encode_temporal(x: Tensor, lp: SimpleNamespace, config: ModelConfig, layer_index: int) -> Tensor:
@@ -412,8 +400,8 @@ def encode_temporal(x: Tensor, lp: SimpleNamespace, config: ModelConfig, layer_i
 
 def _summary(a: Tensor, b: Tensor, w_q: Tensor, w_k: Tensor) -> Tensor:
     """Sum `a` over its last axis, weighted by softmax((a w_q)(b w_k).T); one graph node."""
-    q = _dot(a.data, w_q.data)
-    k = _dot(b.data, w_k.data)
+    q = fold_dot(a.data, w_q.data)
+    k = fold_dot(b.data, w_k.data)
     weights = nm.softmax_array(q @ k.swapaxes(-1, -2))
 
     def grads(g):
@@ -421,9 +409,9 @@ def _summary(a: Tensor, b: Tensor, w_q: Tensor, w_k: Tensor) -> Tensor:
         g_s = nm.softmax_array_grad(weights, g * a.data)
         g_q = g_s @ k
         g_k = g_s.swapaxes(-1, -2) @ q
-        g_a = g * weights + _dot(g_q, w_q.data.T) if a.requires_grad else None
-        g_b = _dot(g_k, w_k.data.T) if b.requires_grad else None
-        return g_a, g_b, _wgrad(a.data, g_q), _wgrad(b.data, g_k)
+        g_a = g * weights + fold_dot(g_q, w_q.data.T) if a.requires_grad else None
+        g_b = fold_dot(g_k, w_k.data.T) if b.requires_grad else None
+        return g_a, g_b, fold_wgrad(a.data, g_q), fold_wgrad(b.data, g_k)
 
     return nm.fused((weights * a.data).sum(axis=-1), (a, b, w_q, w_k), grads)
 
@@ -529,7 +517,7 @@ def dp_gate(
         paths.append((o_feat, lp.ws_f, lp.bs_f))
     if o_temp is not None:
         paths.append((o_temp, lp.ws_t, lp.bs_t))
-    gates = [np.tanh(_dot(o.data, w.data) + b.data) for o, w, b in paths]
+    gates = [np.tanh(fold_dot(o.data, w.data) + b.data) for o, w, b in paths]
     gated = [t * o.data for t, (o, _, _) in zip(gates, paths)]
     parents = [p for path in paths for p in path]
     if len(paths) == 1:
@@ -538,7 +526,7 @@ def dp_gate(
         # concat([o_feat, o_temp]) @ wm, as one product per path with its rows of wm
         d = lp.wm.shape[1]
         mix_rows = (lp.wm.data[:d], lp.wm.data[d:])
-        mix = nm.sigmoid_array(_dot(o_feat.data, mix_rows[0]) + _dot(o_temp.data, mix_rows[1]))
+        mix = nm.sigmoid_array(fold_dot(o_feat.data, mix_rows[0]) + fold_dot(o_temp.data, mix_rows[1]))
         out = gated[0] * mix + gated[1] * (1.0 - mix)
         parents.append(lp.wm)
 
@@ -551,11 +539,11 @@ def dp_gate(
         result, g_wm = [], []
         for i, ((o, w, _), t, g_p) in enumerate(zip(paths, gates, g_gated)):
             g_pre = g_p * o.data * (1.0 - t * t)
-            g_o = g_p * t + _dot(g_pre, w.data.T)
+            g_o = g_p * t + fold_dot(g_pre, w.data.T)
             if len(paths) == 2:
-                g_o += _dot(g_mix, mix_rows[i].T)
-                g_wm.append(_wgrad(o.data, g_mix))
-            result += [g_o, _wgrad(o.data, g_pre), _bgrad(g_pre)]
+                g_o += fold_dot(g_mix, mix_rows[i].T)
+                g_wm.append(fold_wgrad(o.data, g_mix))
+            result += [g_o, fold_wgrad(o.data, g_pre), fold_bgrad(g_pre)]
         return result + ([np.concatenate(g_wm)] if g_wm else [])
 
     return nm.fused(out, parents, grads)

@@ -6,8 +6,9 @@ the forward pass backwards. The op set is exactly what the model needs
 (matmul, softmax, top-n masked softmax, layer norm, the usual elementwise
 activations and reductions) plus `fused`, which records a whole
 composition as one node whose backward is derived by hand; its plain-array
-kernels (`softmax_array`, `softmax_array_grad`, `sigmoid_array`) are the
-ones the single ops use. Every differentiable op can be checked against
+kernels (`softmax_array`, `softmax_array_grad`, `sigmoid_array` and the
+GEMM folds `fold_dot`, `fold_wgrad`, `fold_bgrad`) are the ones the
+single ops use. Every differentiable op can be checked against
 central finite differences via `grad_check`.
 
 Graphs are per-result: each Tensor records its parents and a closure
@@ -37,6 +38,9 @@ __all__ = [
     "backward",
     "concat",
     "exp",
+    "fold_bgrad",
+    "fold_dot",
+    "fold_wgrad",
     "fused",
     "grad_check",
     "layer_norm",
@@ -249,6 +253,21 @@ def _div(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), bwd)
 
 
+def fold_dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`x @ w` for a 2-D `w`, with the leading axes of `x` folded into one GEMM's rows."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+
+
+def fold_wgrad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of a 2-D weight applied as `x @ w`: leading axes fold into GEMM rows."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def fold_bgrad(g: np.ndarray) -> np.ndarray:
+    """Gradient of a bias added along the last axis."""
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast."""
     a, b = _wrap(a), _wrap(b)
@@ -263,14 +282,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if b.ndim == 2 and a.ndim > 2:
-            # a 2-D weight shared by every leading index: fold those axes
-            # into GEMM rows, so each gradient is one BLAS call
-            k, n = b.shape
-            g2 = g.reshape(-1, n)
+            # a 2-D weight shared by every leading index: each gradient is one GEMM
             if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.shape))
+                a._accumulate(fold_dot(g, b.data.T))
             if b.requires_grad:
-                b._accumulate(a.data.reshape(-1, k).T @ g2)
+                b._accumulate(fold_wgrad(a.data, g))
             return
         if a.requires_grad:
             a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))

@@ -1,15 +1,24 @@
+import dataclasses
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dualpath.cli import (
     ConfigError,
+    build_model_config,
+    build_settings,
+    build_split,
     cluster_attention_mass,
     heatmap_svg,
     load_config,
     main,
+    write_config_snapshot,
 )
+from dualpath.loss import LossConfig
+from dualpath.model import ModelConfig
+from dualpath.train import TrainConfig
 
 FAST_OVERRIDES = [
     "data.nodes=8",
@@ -70,6 +79,50 @@ def test_load_config_bad_override():
         load_config(None, ["no_dots"])
     with pytest.raises(ConfigError):
         load_config(None, ["model.width=64"])
+
+
+PANEL = SimpleNamespace(n_nodes=50, n_features=8)
+
+
+def test_config_sections_are_the_dataclass_fields():
+    cfg = load_config(None, [])
+    model_fields = [f.name for f in dataclasses.fields(ModelConfig)]
+    assert list(cfg["model"]) == [name for name in model_fields if name not in ("n_nodes", "n_features")]
+    assert list(cfg["train"]) == [f.name for f in dataclasses.fields(TrainConfig)]
+    assert list(cfg["loss"]) == [f.name for f in dataclasses.fields(LossConfig)]
+
+
+def test_config_snapshot_reloads_into_equal_configs(tmp_path):
+    cfg = load_config(None, ["model.ablation=no_dpgate", "model.ffd_hidden=16", "train.accum_days=3"])
+    write_config_snapshot(cfg, str(tmp_path / "config.ini"))
+    reloaded = load_config(str(tmp_path / "config.ini"), [])
+    assert build_model_config(reloaded, PANEL) == build_model_config(cfg, PANEL)
+    assert build_settings(reloaded, "train") == build_settings(cfg, "train") == TrainConfig(accum_days=3)
+    assert build_settings(reloaded, "loss") == build_settings(cfg, "loss") == LossConfig()
+    assert build_split(reloaded) == build_split(cfg)
+
+
+@pytest.mark.parametrize("value, expected", [("auto", None), ("16", 16)])
+def test_ffd_hidden_reads_auto_or_an_integer(value, expected):
+    model = build_model_config(load_config(None, [f"model.ffd_hidden={value}"]), PANEL)
+    assert model.ffd_hidden == expected
+
+
+def test_ablation_list_skips_blanks_and_spaces():
+    model = build_model_config(load_config(None, ["model.ablation= no_dpgate, ,no_importance"]), PANEL)
+    assert model.ablation == {"no_dpgate", "no_importance"}
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("model.d_model=wide", "[model] d_model='wide' is not an integer"),
+        ("train.learning_rate=fast", "[train] learning_rate='fast' is not a number"),
+    ],
+)
+def test_train_rejects_unparsable_value(tmp_path, capsys, override, message):
+    assert run(["train", "--out", str(tmp_path / "run"), "--set", override]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 MALFORMED_CONFIGS = {

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from dualpath.data import SplitSpec, make_windows, normalize_features, synth_market
+from dualpath.loss import total_loss
 from dualpath.metrics import DailyScores, information_coefficient
 from dualpath.model import (
     ABLATION_FLAGS,
@@ -197,9 +200,6 @@ def test_adam_moves_every_parameter_with_gradient():
     params = ModelParams.init(cfg, seed=12)
     before = params.state_copy()
     opt = Adam(params, TrainConfig(epochs=1, learning_rate=1e-3))
-    from dualpath.loss import total_loss
-    from dualpath.model import forward
-
     sample = splits[0][0]
     y_hat, _ = forward(sample.x, params, cfg)
     total_loss(y_hat, Tensor(sample.y)).backward()
@@ -225,13 +225,52 @@ def test_adam_rejects_non_finite_gradient_before_any_update():
     assert opt.step_count == 0
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_accum_days_steps_once_per_window(monkeypatch, k):
+    cfg, splits = tiny_pipeline()
+    days = splits[0][:7]
+    steps = []
+    adam_step = Adam.step
+
+    def counted(self):
+        steps.append(self.step_count)
+        adam_step(self)
+
+    monkeypatch.setattr(Adam, "step", counted)
+    train_model(days, [], cfg, TrainConfig(epochs=2, accum_days=k))
+    assert len(steps) == 2 * math.ceil(len(days) / k)
+
+
+def test_accum_days_window_is_one_adam_step_on_summed_gradients():
+    # windows of 3 and 2 days: a mean instead of a sum would rescale them unequally
+    cfg, splits = tiny_pipeline()
+    days = splits[0][:5]
+    tcfg = TrainConfig(epochs=1, learning_rate=1e-2, seed=3, accum_days=3)
+    trained, _ = train_model(days, [], cfg, tcfg)
+
+    params = ModelParams.init(cfg, seed=tcfg.seed)
+    opt = Adam(params, tcfg)
+    order = np.random.default_rng([tcfg.seed, 1]).permutation(len(days))  # train_model's shuffle
+    for window in (order[:3], order[3:]):
+        summed = {}
+        for idx in window:
+            params.zero_grads()
+            y_hat, _ = forward(days[idx].x, params, cfg)
+            total_loss(y_hat, Tensor(days[idx].y)).backward()
+            for name, t in params.named().items():
+                summed[name] = summed.get(name, 0.0) + t.grad
+        for name, t in params.named().items():
+            t.grad = summed[name]
+        opt.step()
+    assert opt.step_count == 2
+    for name, t in trained.named().items():
+        np.testing.assert_allclose(t.data, params.named()[name].data, rtol=0, atol=1e-12, err_msg=name)
+
+
 def test_gradients_confined_to_allocated_parameters():
     # ablated layouts simply have no excluded tensors, so nothing to update
     cfg, splits = tiny_pipeline(ablation={"no_dpgate"})
     params = ModelParams.init(cfg, seed=13)
-    from dualpath.loss import total_loss
-    from dualpath.model import forward
-
     sample = splits[0][0]
     y_hat, _ = forward(sample.x, params, cfg)
     total_loss(y_hat, Tensor(sample.y)).backward()

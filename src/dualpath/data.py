@@ -12,7 +12,6 @@ import csv
 import math
 import re
 import warnings
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +103,10 @@ def load_panel_csv(path: str, *, ffill_limit: int = 3, max_missing_frac: float =
     anything worse is rejected. Targets are never filled: a missing
     target stays NaN and the day is simply not used as a window anchor.
     """
+    # imported here, not at module level: runs that never read a CSV
+    # would otherwise pay for loading the extension module
+    from array import array
+
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)

@@ -12,7 +12,11 @@ T time steps of F features. A layer runs three stages:
    its transpose query each other to produce two node summaries (one
    over the embedding axis, one over the feature axis); each summary
    drives a node-to-node attention in which every row keeps only its
-   top-n scores, so the learned adjacency stays sparse.
+   top-n scores, so the learned adjacency stays sparse. Both fusion
+   scores are the bilinear form (z_i W) z_i with a D x F weight product
+   W, softmaxed over F or over D; computed in that order they cost a
+   tenth of the FLOPs of building the query and key maps, and nothing
+   larger than the N x F x D token matrix is kept for backward.
 3. Gated merge: two tanh self-gates and a sigmoid mutual gate blend the
    two path encodings, the result is added back onto the block's token
    input under a layer norm, and a second feedforward block with
@@ -398,22 +402,27 @@ def encode_temporal(x: Tensor, lp: SimpleNamespace, config: ModelConfig, layer_i
     return layer_norm(x_hat + ff, lp.ln2_g, lp.ln2_b)
 
 
-def _summary(a: Tensor, b: Tensor, w_q: Tensor, w_k: Tensor) -> Tensor:
-    """Sum `a` over its last axis, weighted by softmax((a w_q)(b w_k).T); one graph node."""
-    q = fold_dot(a.data, w_q.data)
-    k = fold_dot(b.data, w_k.data)
-    weights = nm.softmax_array(q @ k.swapaxes(-1, -2))
+def _summary(z_i: Tensor, w_a: Tensor, w_b: Tensor, axis: int) -> Tensor:
+    """Sum `z_i` over `axis`, weighted by softmax_axis((z_i (w_a w_bᵀ)) z_i); one graph node.
+
+    `axis` -2 sums the F feature tokens (the temporal summary, N x D),
+    -1 the D embedding positions of each token (the feature summary,
+    N x F). The D x F weight product is formed first, so the largest
+    array held for backward is the N x F x D softmax.
+    """
+    z, w_ab = z_i.data, w_a.data @ w_b.data.T
+    p = fold_dot(z, w_ab)  # N x F x F
+    weights = nm.softmax_array(p @ z, axis=axis)
 
     def grads(g):
-        g = g[..., None]
-        g_s = nm.softmax_array_grad(weights, g * a.data)
-        g_q = g_s @ k
-        g_k = g_s.swapaxes(-1, -2) @ q
-        g_a = g * weights + fold_dot(g_q, w_q.data.T) if a.requires_grad else None
-        g_b = fold_dot(g_k, w_k.data.T) if b.requires_grad else None
-        return g_a, g_b, fold_wgrad(a.data, g_q), fold_wgrad(b.data, g_k)
+        g = np.expand_dims(g, axis)
+        g_s = nm.softmax_array_grad(weights, g * z, axis=axis)
+        g_p = g_s @ z.swapaxes(-1, -2)
+        g_z = g * weights + p.swapaxes(-1, -2) @ g_s + fold_dot(g_p, w_ab.T) if z_i.requires_grad else None
+        g_ab = fold_wgrad(z, g_p)
+        return g_z, g_ab @ w_b.data, g_ab.T @ w_a.data
 
-    return nm.fused((weights * a.data).sum(axis=-1), (a, b, w_q, w_k), grads)
+    return nm.fused((weights * z).sum(axis=axis), (z_i, w_a, w_b), grads)
 
 
 def double_direction_fusion(z_i: Tensor, lp: SimpleNamespace) -> tuple[Tensor | None, Tensor | None]:
@@ -422,17 +431,27 @@ def double_direction_fusion(z_i: Tensor, lp: SimpleNamespace) -> tuple[Tensor | 
     z_i holds feature tokens (N x F x D); z = transpose (N x D x F). The
     temporal summary weights features per embedding position, the
     feature summary weights embedding positions per token, and each is
-    collapsed by summing its weighted axis:
+    collapsed by summing its weighted axis. In the paper's form:
 
         h_temp[n, d] = sum_f softmax_f(Q_F K_F^I.T)[n, d, f] * z[n, d, f]
         h_feat[n, f] = sum_d softmax_d(Q_F^I K_F.T)[n, f, d] * z_i[n, f, d]
 
+    with Q_F = z W_q, K_F^I = z_i W_ki, Q_F^I = z_i W_qi, K_F = z W_k.
+    Both scores are one bilinear form in z_i, read in two directions:
+
+        S_temp.T = (z_i (W_ki W_q.T)) z_i    softmax over F (axis -2)
+        S_feat   = (z_i (W_qi W_k.T)) z_i    softmax over D (axis -1)
+
+    and that is how they are computed: the D x F weight product, then two
+    N x F x F by F x D products. At N=50, F=8, D=256, d_c=64 this is about
+    3.5 MFLOP per summary instead of 39 for the N x D x d_c query and key
+    maps, which need not be built, held for backward or transposed.
+
     A path the layer's layout leaves out (no fusion weights) gets None,
     and from here on a path is present exactly when its summary is.
     """
-    z = transpose_last2(z_i)
-    h_temp = _summary(z, z_i, lp.fus_wq, lp.fus_wki) if hasattr(lp, "fus_wq") else None
-    h_feat = _summary(z_i, z, lp.fus_wqi, lp.fus_wk) if hasattr(lp, "fus_wqi") else None
+    h_temp = _summary(z_i, lp.fus_wki, lp.fus_wq, -2) if hasattr(lp, "fus_wq") else None
+    h_feat = _summary(z_i, lp.fus_wqi, lp.fus_wk, -1) if hasattr(lp, "fus_wqi") else None
     return h_temp, h_feat
 
 

@@ -422,22 +422,22 @@ def sqrt(x: Tensor) -> Tensor:
 # -- structured ops -----------------------------------------------------------
 
 
-def softmax_array(x: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-    """Softmax of a plain array along its last axis, stabilized by max
-    subtraction. With a boolean `keep` mask it runs over the kept entries
-    only: dropped entries reach `exp` as 0, not as a huge negative number,
-    and come out exactly 0."""
+def softmax_array(x: np.ndarray, keep: np.ndarray | None = None, *, axis: int = -1) -> np.ndarray:
+    """Softmax of a plain array along `axis` (default the last), stabilized
+    by max subtraction. With a boolean `keep` mask it runs over the kept
+    entries only: dropped entries reach `exp` as 0, not as a huge negative
+    number, and come out exactly 0."""
     if keep is None:
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
     else:
-        top = np.where(keep, x, -np.inf).max(axis=-1, keepdims=True)
+        top = np.where(keep, x, -np.inf).max(axis=axis, keepdims=True)
         e = np.exp(np.where(keep, x - top, 0.0)) * keep
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax_array_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient at a softmax's input from its output `p` and the gradient `g` at `p`."""
-    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+def softmax_array_grad(p: np.ndarray, g: np.ndarray, *, axis: int = -1) -> np.ndarray:
+    """Gradient at a softmax's input from its output `p` along `axis` and the gradient `g` at `p`."""
+    return p * (g - (g * p).sum(axis=axis, keepdims=True))
 
 
 def _softmax_node(x: Tensor, data: np.ndarray) -> Tensor:

@@ -148,6 +148,18 @@ def test_softmax_rows_sum_to_one():
     assert np.abs(sums - 1.0).max() < 1e-9
 
 
+def test_softmax_array_along_another_axis_matches_the_swapped_array():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((4, 7, 5)) * 10
+    g = rng.standard_normal(x.shape)
+    p = nm.softmax_array(x, axis=-2)
+    want = nm.softmax_array(x.swapaxes(-1, -2)).swapaxes(-1, -2)
+    assert np.abs(p - want).max() <= 1e-15
+    got_grad = nm.softmax_array_grad(p, g, axis=-2)
+    want_grad = nm.softmax_array_grad(want.swapaxes(-1, -2), g.swapaxes(-1, -2)).swapaxes(-1, -2)
+    assert np.abs(got_grad - want_grad).max() <= 1e-14
+
+
 def test_softmax_empty_axis_rejected():
     with pytest.raises(ShapeError):
         nm.softmax_lastaxis(Tensor(np.zeros((3, 0))))

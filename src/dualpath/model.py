@@ -12,7 +12,8 @@ T time steps of F features. A layer runs three stages:
    its transpose query each other to produce two node summaries (one
    over the embedding axis, one over the feature axis); each summary
    drives a node-to-node attention in which every row keeps only its
-   top-n scores, so the learned adjacency stays sparse. Both fusion
+   top-n scores, so the learned adjacency stays sparse; both attentions
+   weight one value map of the token matrix, computed once. Both fusion
    scores are the bilinear form (z_i W) z_i with a D x F weight product
    W, softmaxed over F or over D; computed in that order they cost a
    tenth of the FLOPs of building the query and key maps, and nothing
@@ -455,31 +456,28 @@ def double_direction_fusion(z_i: Tensor, lp: SimpleNamespace) -> tuple[Tensor | 
     return h_temp, h_feat
 
 
-def ncorr_attention(
+def node_attention(
     h: Tensor,
-    z_i: Tensor,
+    v: Tensor,
     w_q: Tensor,
     w_k: Tensor,
-    w_v: Tensor,
     n_keep: int,
     n_heads: int,
 ) -> tuple[Tensor, np.ndarray]:
     """Sparse node-to-node attention driven by a node summary.
 
-    Queries and keys come from the summary `h` (N x d_h); values are
-    mapped token-wise from `z_i` so the full series encoding survives.
-    Every row keeps only its `n_keep` largest scores. The keep mask is
-    shared across heads (derived from head-averaged scores) so the
-    learned adjacency has exactly `n_keep` neighbors per node; returns
-    the head-averaged attention matrix alongside the output tokens.
-    The value map is one `matmul` node; the query and key maps, scores,
-    masked softmax and value product are one more.
+    Queries and keys come from the summary `h` (N x d_h); values are the
+    token-wise value map `v` (N x F x d_g) of the layer's token encoding,
+    so the full series encoding survives. Every row keeps only its
+    `n_keep` largest scores. The keep mask is shared across heads
+    (derived from head-averaged scores) so the learned adjacency has
+    exactly `n_keep` neighbors per node; returns the head-averaged
+    attention matrix alongside the output tokens. The query and key maps,
+    scores, masked softmax and value product are one graph node.
     """
-    n, f, _ = z_i.shape
-    d_g = w_v.shape[1]
+    n, f, d_g = v.shape
     dh = d_g // n_heads
     scale = 1.0 / math.sqrt(dh)
-    v = matmul(z_i, w_v)
 
     # heads laid out contiguously and head-major, as the per-op composition
     # kept in tests/test_model.py lays them out: the scores, and with them
@@ -511,6 +509,19 @@ def ncorr_attention(
 
     out = nm.fused(tokens_by_node(attn @ v_heads), (h, w_q, w_k, v), grads)
     return out, attn.mean(axis=0)
+
+
+def ncorr_attention(
+    h: Tensor,
+    z_i: Tensor,
+    w_q: Tensor,
+    w_k: Tensor,
+    w_v: Tensor,
+    n_keep: int,
+    n_heads: int,
+) -> tuple[Tensor, np.ndarray]:
+    """`node_attention` with its own value map `z_i w_v` (one more graph node)."""
+    return node_attention(h, matmul(z_i, w_v), w_q, w_k, n_keep, n_heads)
 
 
 def dp_gate(
@@ -596,15 +607,17 @@ def forward(x, params: ModelParams, config: ModelConfig) -> tuple[Tensor, Attent
     h = x
     for i, lp in enumerate(params.layers):
         z_i = encode_temporal(h, lp, config, i)
+        # both paths read one value map, so its GEMMs run once per layer
+        v = matmul(z_i, lp.vg)
         h_temp, h_feat = double_direction_fusion(z_i, lp)
         o_feat = o_temp = a_feat = a_temp = None
         if h_feat is not None:
-            o_feat, a_feat = ncorr_attention(
-                h_feat, z_i, lp.qg_feat, lp.kg_feat, lp.vg, config.n_keep, config.n_heads
+            o_feat, a_feat = node_attention(
+                h_feat, v, lp.qg_feat, lp.kg_feat, config.n_keep, config.n_heads
             )
         if h_temp is not None:
-            o_temp, a_temp = ncorr_attention(
-                h_temp, z_i, lp.qg_temp, lp.kg_temp, lp.vg, config.n_keep, config.n_heads
+            o_temp, a_temp = node_attention(
+                h_temp, v, lp.qg_temp, lp.kg_temp, config.n_keep, config.n_heads
             )
         maps.feature.append(a_feat)
         maps.temporal.append(a_temp)

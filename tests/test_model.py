@@ -1017,4 +1017,26 @@ def test_desk_day_step_graph_node_count():
     rng = np.random.default_rng(0)
     y_hat, _ = forward(rng.standard_normal((50, 30, 8)), params, cfg)
     loss = total_loss(y_hat, Tensor(rng.standard_normal((50, 1))), LossConfig())
-    assert _op_nodes(loss) == 63
+    assert _op_nodes(loss) == 62
+
+
+def test_both_paths_of_a_layer_share_one_value_map_node():
+    cfg = ModelConfig(n_nodes=10, n_features=4, lookback=6, horizon=1, d_model=8, n_heads=2, n_layers=2)
+    params = ModelParams.init(cfg, seed=3)
+    y_hat, _ = forward(np.random.default_rng(3).standard_normal((10, 6, 4)), params, cfg)
+    nodes, stack = {}, [y_hat]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    for lp in params.layers:
+        # a node attention's parents are (h, w_q, w_k, v)
+        feat, temp = (
+            [n for n in nodes.values() if len(n._parents) == 4 and n._parents[1] is w_q]
+            for w_q in (lp.qg_feat, lp.qg_temp)
+        )
+        assert len(feat) == len(temp) == 1
+        v = feat[0]._parents[3]
+        assert temp[0]._parents[3] is v
+        assert v._parents[1] is lp.vg and v._parents[0].shape == (10, 4, 8)

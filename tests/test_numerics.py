@@ -324,6 +324,98 @@ def test_backward_accumulates_without_reset():
     assert x.grad.tolist() == [4.0, 8.0]
 
 
+def test_stored_gradient_is_read_only():
+    # a leaf used once keeps the producer's array, one used twice a sum
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = Tensor([3.0, 4.0], requires_grad=True)
+    nm.sum_(x * x + y).backward()
+    for t in (x, y):
+        assert not t.grad.flags.writeable
+        with pytest.raises(ValueError):
+            t.grad[0] = 0.0
+
+
+def test_second_accumulation_leaves_the_first_gradient_array_alone():
+    # the first gradient is kept as a view of the producer's array, so a
+    # later one must make a new sum, never add into it
+    x = Tensor(np.zeros(3), requires_grad=True)
+    first = np.array([1.0, 2.0, 3.0])
+    x._accumulate(first)
+    stored = x.grad
+    x._accumulate(np.array([10.0, 20.0, 30.0]))
+    assert stored.tolist() == [1.0, 2.0, 3.0] and first.tolist() == [1.0, 2.0, 3.0]
+    assert x.grad.tolist() == [11.0, 22.0, 33.0]
+
+
+def _accumulate_by_copy(self, g):
+    # the earlier buffer policy: a zeroed buffer per tensor, added into
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+FAN_IN_CASES = {
+    "x_plus_x": lambda x, w: nm.sum_(nm.matmul(x + x, w)),
+    "two_consumers": lambda x, w: (lambda h: nm.sum_(h * h) + nm.sum_(h))(nm.tanh(nm.matmul(x, w))),
+    "leaf_used_twice": lambda x, w: nm.sum_(nm.matmul(x, w) * nm.matmul(nm.tanh(x), w)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAN_IN_CASES))
+def test_fan_in_gradients_match_the_copying_buffer(monkeypatch, case):
+    rng = np.random.default_rng(15)
+    x_data, w_data = rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 4))
+
+    def grads():
+        x, w = Tensor(x_data, requires_grad=True), Tensor(w_data, requires_grad=True)
+        FAN_IN_CASES[case](x, w).backward()
+        return x.grad, w.grad
+
+    got = grads()
+    monkeypatch.setattr(Tensor, "_accumulate", _accumulate_by_copy)
+    want = grads()
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_two_backward_passes_into_the_same_leaves_sum_exactly():
+    # as with accum_days=2: two fresh graphs, one accumulation into each leaf
+    rng = np.random.default_rng(16)
+    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    scales = [Tensor(rng.standard_normal((2, 3, 2))) for _ in range(2)]
+
+    def pass_(c):
+        nm.sum_(nm.tanh(nm.matmul(x, w)) * c).backward()
+
+    single = []
+    for c in scales:
+        pass_(c)
+        single.append((x.grad, w.grad))
+        x.zero_grad()
+        w.zero_grad()
+    for c in scales:
+        pass_(c)
+    assert np.array_equal(x.grad, single[0][0] + single[1][0])
+    assert np.array_equal(w.grad, single[0][1] + single[1][1])
+
+
+def test_gradient_of_the_wrong_shape_raises():
+    # a (3,) gradient would broadcast into a (2, 3) buffer without a check
+    x = Tensor(np.zeros((2, 3)), requires_grad=True)
+    out = nm.fused(x.data * 2.0, (x,), lambda g: (g[0] * 2.0,))
+    with pytest.raises(ShapeError, match=r"\(3,\).*\(2, 3\)"):
+        nm.sum_(out).backward()
+
+
+def test_keep_heap_resident_without_libc_returns_quietly(monkeypatch):
+    def no_libc(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(nm.ctypes, "CDLL", no_libc)
+    assert nm.keep_heap_resident() is None
+
+
 def _interior_nodes(root):
     seen, stack, out = set(), [root], []
     while stack:

@@ -1,3 +1,4 @@
+import ctypes
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from dualpath.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from dualpath.numerics import NumericError, ParameterError, Tensor
+from dualpath.numerics import NumericError, ParameterError, Tensor, keep_heap_resident
 from dualpath.train import (
     Adam,
     TrainConfig,
@@ -218,11 +219,95 @@ def test_adam_rejects_non_finite_gradient_before_any_update():
         t.grad = np.ones_like(t.data)
     named[names[-1]].grad[...] = np.nan
     before = params.state_copy()
+    moments = {name: (opt.m[name].copy(), opt.v[name].copy()) for name in names}
     with pytest.raises(NumericError, match=rf"{names[-1]}.*step 1"):
         opt.step()
     for name, t in params.named().items():
         assert np.array_equal(t.data, before[name]), name
+        assert np.array_equal(opt.m[name], moments[name][0]), name
+        assert np.array_equal(opt.v[name], moments[name][1]), name
     assert opt.step_count == 0
+
+
+DESK_CFG = ModelConfig(n_nodes=50, n_features=8, lookback=30, horizon=1, d_model=32, n_heads=4, n_layers=1)
+
+
+def _desk_days(count, seed):
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal((50, 30, 8)), rng.standard_normal((50, 1))) for _ in range(count)]
+
+
+def _oracle_adam_step(state, grads, step_count, cfg):
+    # the out-of-place update the in-place one must reproduce bit for bit
+    correction1 = 1.0 - cfg.beta1**step_count
+    correction2 = 1.0 - cfg.beta2**step_count
+    for name, g in grads.items():
+        if g is None:
+            continue
+        w, m, v = state[name]
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+        m_hat = m / correction1
+        v_hat = v / correction2
+        state[name] = (w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps), m, v)
+
+
+def test_adam_in_place_update_is_bit_identical_to_the_out_of_place_formula():
+    tcfg = TrainConfig(learning_rate=1e-2, accum_days=2)
+    params = ModelParams.init(DESK_CFG, seed=16)
+    opt = Adam(params, tcfg)
+    named = params.named()
+    state = {name: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)) for name, t in named.items()}
+    frozen = "dec.b_dev"  # never gets a gradient: its weights and moments must not move
+    days = _desk_days(2, seed=17)
+    for step in range(1, 101):
+        params.zero_grads()
+        for x, y in days:
+            y_hat, _ = forward(x * (1.0 + 0.01 * step), params, DESK_CFG)
+            total_loss(y_hat, Tensor(y)).backward()
+        named[frozen].zero_grad()
+        grads = {name: t.grad for name, t in named.items()}
+        held = {name: g.copy() for name, g in grads.items() if g is not None}
+        opt.step()
+        _oracle_adam_step(state, grads, step, tcfg)
+        for name, g in held.items():
+            assert named[name].grad is grads[name] and np.array_equal(grads[name], g), name
+    assert not opt.m[frozen].any() and not opt.v[frozen].any()
+    for name, t in named.items():
+        w, m, v = state[name]
+        assert t.data.tobytes() == w.tobytes(), name
+        assert opt.m[name].tobytes() == m.tobytes(), name
+        assert opt.v[name].tobytes() == v.tobytes(), name
+
+
+def _glibc_mallopt():
+    try:
+        return ctypes.CDLL("libc.so.6").mallopt is not None
+    except (OSError, AttributeError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc_mallopt(), reason="needs glibc mallopt")
+def test_day_steps_on_a_resident_heap_take_no_page_faults():
+    resource = pytest.importorskip("resource")
+    keep_heap_resident()
+    params = ModelParams.init(DESK_CFG, seed=18)
+    opt = Adam(params, TrainConfig())
+    days = _desk_days(13, seed=19)
+
+    def day_step(x, y):
+        params.zero_grads()
+        y_hat, _ = forward(x, params, DESK_CFG)
+        total_loss(y_hat, Tensor(y)).backward()
+        opt.step()
+
+    for x, y in days[:3]:
+        day_step(x, y)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for x, y in days[3:]:
+        day_step(x, y)
+    # glibc's default trimming makes each of these steps fault in hundreds of pages
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
 
 
 @pytest.mark.parametrize("k", [2, 3])

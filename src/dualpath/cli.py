@@ -37,7 +37,7 @@ from .data import (
 from .loss import LossConfig
 from .metrics import format_report
 from .model import ModelConfig, forward, load_checkpoint, save_checkpoint
-from .numerics import NumericError, ParameterError, ShapeError
+from .numerics import NumericError, ParameterError, ShapeError, keep_heap_resident
 from .train import TrainConfig, ablation_suite, evaluate, sweep, train_model
 
 
@@ -189,6 +189,7 @@ def prepare_pipeline(cfg: dict[str, dict[str, str]]):
     split = build_split(cfg)
     n_train, _, _ = split.resolve(ds.n_days)
     ds_norm = normalize_features(ds, max(n_train, 1))
+    del ds  # the raw panel is not needed while the windows are cut
     model_cfg = build_model_config(cfg, ds_norm)
     splits = make_windows(ds_norm, model_cfg.lookback, model_cfg.horizon, split)
     return ds_norm, splits, model_cfg
@@ -325,6 +326,10 @@ def _load_run(run_dir: str):
 
 
 def cmd_backtest(args) -> int:
+    # as in training: the panel ingest and the scoring loop reuse freed heap
+    # instead of faulting it back in, and the resident peak does not depend
+    # on where earlier work left holes in the heap
+    keep_heap_resident()
     cfg, _, splits, model_cfg, params = _load_run(args.run)
     _, _, test_samples = splits
     if not test_samples:

@@ -8,8 +8,11 @@ stay NaN; window anchors are chosen so those rows are never read.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -124,7 +127,11 @@ def load_panel_csv(path: str, *, ffill_limit: int = 3, max_missing_frac: float =
             columns = [(c, header.index(c)) for c in (*feature_names, TARGET_COL)]
             d_idx, n_idx = header.index(DATE_COL), header.index(NODE_COL)
 
-            rows: dict[tuple[str, str], None] = {}  # (date, node) keys in file order
+            # each row keeps three integers and its values, never its key
+            # strings, so the ingest's Python objects do not grow with the file
+            day_of: dict[str, int] = {}  # date -> index, in order of first appearance
+            node_of: dict[str, int] = {}
+            at_day, at_node, lines = array("q"), array("q"), array("q")
             values = array("d")  # each row's feature cells, then its target cell
             for row in reader:
                 if not row or all(not c.strip() for c in row):
@@ -132,10 +139,9 @@ def load_panel_csv(path: str, *, ffill_limit: int = 3, max_missing_frac: float =
                 line = reader.line_num
                 if len(row) != len(header):
                     raise ParameterError(f"{path}:{line}: expected {len(header)} columns, got {len(row)}")
-                date, node = row[d_idx].strip(), row[n_idx].strip()
-                if (date, node) in rows:
-                    raise ParameterError(f"{path}:{line}: duplicate row for date={date} node={node}")
-                rows[date, node] = None
+                at_day.append(day_of.setdefault(row[d_idx].strip(), len(day_of)))
+                at_node.append(node_of.setdefault(row[n_idx].strip(), len(node_of)))
+                lines.append(line)
                 for col, i in columns:
                     text = row[i].strip()
                     if text == "":
@@ -150,15 +156,22 @@ def load_panel_csv(path: str, *, ffill_limit: int = 3, max_missing_frac: float =
     except csv.Error as err:
         raise ParameterError(f"{path}:{reader.line_num}: {err}") from None
 
-    if not rows:
+    if not lines:
         raise ParameterError(f"{path}: no data rows")
-    dates = sorted({d for d, _ in rows}, key=_date_key)
-    nodes = sorted({n for _, n in rows})
-    day_of = {d: i for i, d in enumerate(dates)}
-    node_of = {n: j for j, n in enumerate(nodes)}
-    at_day = np.fromiter((day_of[d] for d, _ in rows), dtype=np.intp, count=len(rows))
-    at_node = np.fromiter((node_of[n] for _, n in rows), dtype=np.intp, count=len(rows))
-    del rows
+    at_day, at_node = np.frombuffer(at_day, dtype=np.int64), np.frombuffer(at_node, dtype=np.int64)
+    _, first = np.unique(at_day * len(node_of) + at_node, return_index=True)
+    if len(first) < len(lines):  # name the first row whose (date, node) came before
+        repeat = np.ones(len(lines), dtype=bool)
+        repeat[first] = False
+        r = int(np.argmax(repeat))
+        date, node = list(day_of)[at_day[r]], list(node_of)[at_node[r]]
+        raise ParameterError(f"{path}:{lines[r]}: duplicate row for date={date} node={node}")
+    del lines
+    dates = sorted(day_of, key=_date_key)
+    nodes = sorted(node_of)
+    # first-appearance index -> sorted position
+    at_day = np.array([*map({d: i for i, d in enumerate(dates)}.get, day_of)])[at_day]
+    at_node = np.array([*map({n: j for j, n in enumerate(nodes)}.get, node_of)])[at_node]
 
     panel = np.full((len(dates), len(nodes), len(columns)), np.nan)
     panel[at_day, at_node] = np.frombuffer(values).reshape(-1, len(columns))
@@ -223,22 +236,45 @@ def _forward_fill(features: np.ndarray, dates, nodes, limit: int, path: str) -> 
             features[d][day_gap] = features[d - 1][day_gap]
 
 
+def _csv_key(key: str) -> str:
+    """`key` as `csv.writer` writes it inside a row (a lone empty field would read `""`)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([key, ""])
+    return buf.getvalue()[:-2]
+
+
 def write_panel_csv(ds: PanelDataset, path: str) -> None:
-    """Long-format export; NaN targets become empty cells. Byte-deterministic."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([DATE_COL, NODE_COL, *ds.feature_names, TARGET_COL])
-        for d, date in enumerate(ds.dates):
-            for n, node in enumerate(ds.node_ids):
-                target = ds.targets[d, n]
-                writer.writerow(
-                    [
-                        date,
-                        node,
-                        *[repr(float(v)) for v in ds.features[d, n]],
-                        "" if np.isnan(target) else repr(float(target)),
-                    ]
-                )
+    """Long-format export; NaN targets become empty cells. Byte-deterministic.
+
+    The bytes are those of `csv.writer` rows of `repr(float(v))` cells, but
+    the writer works one day at a time: each date and node id is quoted
+    once, each day's values leave numpy in one `tolist()` and its rows go
+    out in one `write`, so `repr` is almost the whole cost, and no more
+    than one day's text is held. The panel is written to a sibling file
+    that replaces `path` only when complete, so an interrupted write
+    leaves the old file, never a shorter panel.
+    """
+    features = np.asarray(ds.features, dtype=np.float64)
+    targets = np.asarray(ds.targets, dtype=np.float64)
+    nodes = [_csv_key(node) for node in ds.node_ids]
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(
+                [DATE_COL, NODE_COL, *ds.feature_names, TARGET_COL]
+            )
+            for date, day_x, day_y in zip(ds.dates, features, targets):
+                prefix = _csv_key(date) + ","
+                rows = [
+                    f"{prefix}{node},{','.join([*map(repr, x), '' if math.isnan(y) else repr(y)])}\n"
+                    for node, x, y in zip(nodes, day_x.tolist(), day_y.tolist())
+                ]
+                fh.write("".join(rows))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def normalize_features(ds: PanelDataset, train_days: int) -> PanelDataset:
@@ -249,11 +285,13 @@ def normalize_features(ds: PanelDataset, train_days: int) -> PanelDataset:
     mu = span.mean(axis=0)
     sd = span.std(axis=0)
     sd = np.where(sd < 1e-12, 1.0, sd)
+    z = ds.features - mu
+    z /= sd  # in place: one panel-sized temporary, not two
     return PanelDataset(
         dates=list(ds.dates),
         node_ids=list(ds.node_ids),
         feature_names=list(ds.feature_names),
-        features=(ds.features - mu) / sd,
+        features=z,
         targets=ds.targets.copy(),
     )
 

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import shutil
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -310,6 +312,23 @@ def test_backtest_idempotent_bytes(trained_run, tmp_path):
         assert run(["backtest", "--run", str(trained_run), "--out", str(out)]) == 0
     assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
     assert (a / "daily_returns.csv").read_bytes() == (b / "daily_returns.csv").read_bytes()
+
+
+def test_repeated_backtests_hold_no_python_memory(trained_run, tmp_path):
+    # Repeated in-process backtests grow RSS by pinning pymalloc arenas, not by
+    # keeping Python objects: what is live after the third call stays within
+    # a few caches' worth of what was live after the first. Keeping one
+    # call's 80 x 8 x 8 feature array alive (40 KB) would already exceed it.
+    traced = []
+    tracemalloc.start()
+    try:
+        for i in range(3):
+            assert run(["backtest", "--run", str(trained_run), "--out", str(tmp_path / str(i))]) == 0
+            gc.collect()
+            traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert traced[2] - traced[0] < 64 * 1024, traced
 
 
 def test_backtest_missing_run_dir(tmp_path):

@@ -1,6 +1,10 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dualpath import data as data_module
 from dualpath.data import (
     PanelDataset,
     SplitSpec,
@@ -62,9 +66,26 @@ def test_ingest_unparseable_row_names_line(tmp_path):
 
 def test_ingest_duplicate_row_rejected(tmp_path):
     p = tmp_path / "panel.csv"
-    write_csv(p, ["0,aa,1.0,2.0,0.01", "0,aa,1.0,2.0,0.01"])
-    with pytest.raises(ParameterError):
+    rows = ["0,aa,1.0,2.0,0.01", "0,bb,1.0,2.0,0.01", "", "1,bb,1.0,2.0,0.01", "1,bb,3.0,4.0,0.02", "0,aa,1.0,2.0,0.01"]
+    write_csv(p, rows)
+    with pytest.raises(ParameterError) as err:
         load_panel_csv(str(p))
+    # the earliest repeat is named; line 4 is blank
+    assert f"{p}:6: duplicate row for date=1 node=bb" in str(err.value)
+
+
+def test_ingest_holds_no_per_row_python_objects(tmp_path):
+    """The ingest's traced peak is a small multiple of the panel it returns;
+    keeping each row's (date, node) strings took more than twice as much."""
+    p = tmp_path / "panel.csv"
+    write_panel_csv(synth_market(n_nodes=40, n_days=300, n_features=4, seed=1), p)
+    tracemalloc.start()
+    try:
+        ds = load_panel_csv(str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (ds.features.nbytes + ds.targets.nbytes)
 
 
 def test_ingest_infinite_feature_cell_names_its_place(tmp_path):
@@ -187,6 +208,96 @@ def test_round_trip_synth_to_csv(tmp_path):
     # NaN target tail preserved as NaN
     assert np.isnan(back.targets[-1]).all()
     assert np.array_equal(back.targets[:-1], ds.targets[:-1])
+
+
+def oracle_panel_csv(ds, path):
+    """The row-at-a-time writer that `write_panel_csv` must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["date", "node_id", *ds.feature_names, "target"])
+        for d, date in enumerate(ds.dates):
+            for n, node in enumerate(ds.node_ids):
+                target = ds.targets[d, n]
+                writer.writerow(
+                    [
+                        date,
+                        node,
+                        *[repr(float(v)) for v in ds.features[d, n]],
+                        "" if np.isnan(target) else repr(float(target)),
+                    ]
+                )
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e16, 1e-05, 1 / 3, -1.5e300]
+
+
+def quoting_panel():
+    """Keys and feature names that need quoting, and float edge cases."""
+    nodes = ["n,1", 'z"', "x\ny", " s ", ""]
+    features = np.array((EDGE_VALUES * 3)[:20]).reshape(2, 5, 2)
+    targets = np.array([[np.nan, -0.0, 1e16, 5e-324, 1 / 3], [-1.5e300, np.nan, 0.0, 1e-05, -0.0]])
+    return PanelDataset(
+        dates=["2020-01-02", "d,2"],
+        node_ids=nodes,
+        feature_names=['f"1', "f,2"],
+        features=features,
+        targets=targets,
+    )
+
+
+def edge_value_panel():
+    """Every edge value in every feature column and as a target, NaN and -0.0 too."""
+    targets = [*EDGE_VALUES, np.nan, -0.0]
+    return PanelDataset(
+        dates=["1", "2"],
+        node_ids=[f"n{i}" for i in range(len(targets))],
+        feature_names=[f"f{i}" for i in range(len(EDGE_VALUES))],
+        features=np.array([[np.roll(EDGE_VALUES, i) for i in range(len(targets))]] * 2),
+        targets=np.array([targets, targets[::-1]]),
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: synth_market(n_nodes=6, n_days=20, n_clusters=2, seed=3),
+        lambda: synth_market(n_nodes=10, n_days=100, n_clusters=2, seed=5),
+        quoting_panel,
+        edge_value_panel,
+    ],
+    ids=["synth", "criterion10", "quoting", "edge_values"],
+)
+def test_write_panel_csv_matches_row_writer_bytes(tmp_path, make):
+    ds = make()
+    write_panel_csv(ds, tmp_path / "new.csv")
+    oracle_panel_csv(ds, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_panel_csv_keeps_old_file_when_interrupted(tmp_path, monkeypatch):
+    path = tmp_path / "panel.csv"
+    write_panel_csv(synth_market(n_nodes=4, n_days=20, n_clusters=2, seed=1), path)
+    before = path.read_bytes()
+
+    def full_disk_open(*args, **kwargs):
+        """A file that takes the header and the first day, then fails like a full disk."""
+        fh = open(*args, **kwargs)
+        real_write, writes = fh.write, []
+
+        def write(text):
+            writes.append(len(text))
+            if len(writes) > 2:
+                raise OSError(28, "No space left on device")
+            return real_write(text)
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(data_module, "open", full_disk_open, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write_panel_csv(synth_market(n_nodes=4, n_days=20, n_clusters=2, seed=2), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["panel.csv"]
 
 
 # -- normalization ------------------------------------------------------------

@@ -11,11 +11,14 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import math
 import os
 import re
 import warnings
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +99,24 @@ class SplitSpec:
 # Key columns of the panel CSV layout; every other column is a feature.
 DATE_COL, NODE_COL, TARGET_COL = "date", "node_id", "target"
 
+# The block reader reads a file this many bytes at a time, cut back to whole lines.
+CSV_BLOCK_BYTES = 1 << 16
+# A key the block reader takes after `bytes.strip`: printable ASCII, so the
+# row loop's `str.strip`, which also strips \x1c-\x1f, leaves the same key.
+_PLAIN_KEY = re.compile(rb"[ -~]+")
+
+
+class _Rows(NamedTuple):
+    """A panel CSV's rows as parsed, before duplicates are looked for."""
+
+    feature_names: list[str]
+    day_of: dict[str, int]  # date -> index, in order of first appearance
+    node_of: dict[str, int]
+    at_day: np.ndarray  # each row's date index
+    at_node: np.ndarray
+    lines: Sequence[int]  # each row's line number in the file
+    values: np.ndarray  # (rows, features + 1): each row's feature cells, then its target cell
+
 
 def load_panel_csv(path: str, *, ffill_limit: int = 3, max_missing_frac: float = 0.1) -> PanelDataset:
     """Read a long-format CSV into a dense, gap-free panel.
@@ -105,60 +126,14 @@ def load_panel_csv(path: str, *, ffill_limit: int = 3, max_missing_frac: float =
     gaps are forward-filled up to `ffill_limit` consecutive days and
     anything worse is rejected. Targets are never filled: a missing
     target stays NaN and the day is simply not used as a window anchor.
+
+    A plain file (see `_parse_blocks`) is parsed in blocks; any other
+    file, or one with a bad cell, is parsed row by row through `csv`,
+    which gives the same rows or names the line at fault.
     """
-    # imported here, not at module level: runs that never read a CSV
-    # would otherwise pay for loading the extension module
-    from array import array
-
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParameterError(f"{path}: empty file") from None
-            for col in header:
-                if header.count(col) > 1:
-                    raise ParameterError(f"{path}: column {col!r} appears more than once")
-            for col in (DATE_COL, NODE_COL, TARGET_COL):
-                if col not in header:
-                    raise ParameterError(f"{path}: missing required column {col!r}")
-            feature_names = [c for c in header if c not in (DATE_COL, NODE_COL, TARGET_COL)]
-            columns = [(c, header.index(c)) for c in (*feature_names, TARGET_COL)]
-            d_idx, n_idx = header.index(DATE_COL), header.index(NODE_COL)
-
-            # each row keeps three integers and its values, never its key
-            # strings, so the ingest's Python objects do not grow with the file
-            day_of: dict[str, int] = {}  # date -> index, in order of first appearance
-            node_of: dict[str, int] = {}
-            at_day, at_node, lines = array("q"), array("q"), array("q")
-            values = array("d")  # each row's feature cells, then its target cell
-            for row in reader:
-                if not row or all(not c.strip() for c in row):
-                    continue
-                line = reader.line_num
-                if len(row) != len(header):
-                    raise ParameterError(f"{path}:{line}: expected {len(header)} columns, got {len(row)}")
-                at_day.append(day_of.setdefault(row[d_idx].strip(), len(day_of)))
-                at_node.append(node_of.setdefault(row[n_idx].strip(), len(node_of)))
-                lines.append(line)
-                for col, i in columns:
-                    text = row[i].strip()
-                    if text == "":
-                        values.append(math.nan)
-                        continue
-                    try:
-                        values.append(float(text))
-                    except ValueError:
-                        raise ParameterError(f"{path}:{line}: cannot parse {col}={row[i]!r}") from None
-    except UnicodeDecodeError:
-        raise ParameterError(f"{path}: not UTF-8 text") from None
-    except csv.Error as err:
-        raise ParameterError(f"{path}:{reader.line_num}: {err}") from None
-
-    if not lines:
-        raise ParameterError(f"{path}: no data rows")
-    at_day, at_node = np.frombuffer(at_day, dtype=np.int64), np.frombuffer(at_node, dtype=np.int64)
+    feature_names, day_of, node_of, at_day, at_node, lines, values = (
+        _parse_blocks(path) or _parse_rows(path)
+    )
     _, first = np.unique(at_day * len(node_of) + at_node, return_index=True)
     if len(first) < len(lines):  # name the first row whose (date, node) came before
         repeat = np.ones(len(lines), dtype=bool)
@@ -173,14 +148,15 @@ def load_panel_csv(path: str, *, ffill_limit: int = 3, max_missing_frac: float =
     at_day = np.array([*map({d: i for i, d in enumerate(dates)}.get, day_of)])[at_day]
     at_node = np.array([*map({n: j for j, n in enumerate(nodes)}.get, node_of)])[at_node]
 
+    columns = [*feature_names, TARGET_COL]
     panel = np.full((len(dates), len(nodes), len(columns)), np.nan)
-    panel[at_day, at_node] = np.frombuffer(values).reshape(-1, len(columns))
+    panel[at_day, at_node] = values
     del values
     infinite = np.argwhere(np.isinf(panel))
     if len(infinite):
         day, node, col = infinite[0]
         raise ParameterError(
-            f"{path}: infinite value at date={dates[day]} node={nodes[node]} column {columns[col][0]!r}"
+            f"{path}: infinite value at date={dates[day]} node={nodes[node]} column {columns[col]!r}"
         )
     features = np.ascontiguousarray(panel[..., :-1])
     targets = np.ascontiguousarray(panel[..., -1])
@@ -206,6 +182,184 @@ def load_panel_csv(path: str, *, ffill_limit: int = 3, max_missing_frac: float =
         features=features,
         targets=targets,
     )
+
+
+def _header_columns(path: str, header: list[str]) -> tuple[list[str], int, int, list[tuple[str, int]]]:
+    """Feature names, the date and node cell positions, and each value column's name and position."""
+    for col in header:
+        if header.count(col) > 1:
+            raise ParameterError(f"{path}: column {col!r} appears more than once")
+    for col in (DATE_COL, NODE_COL, TARGET_COL):
+        if col not in header:
+            raise ParameterError(f"{path}: missing required column {col!r}")
+    feature_names = [c for c in header if c not in (DATE_COL, NODE_COL, TARGET_COL)]
+    columns = [(c, header.index(c)) for c in (*feature_names, TARGET_COL)]
+    return feature_names, header.index(DATE_COL), header.index(NODE_COL), columns
+
+
+def _parse_rows(path: str) -> _Rows:
+    """Parse any CSV `csv` reads, one row at a time; a bad row raises with its line."""
+    # imported here, not at module level: runs that never read a CSV
+    # would otherwise pay for loading the extension module
+    from array import array
+
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParameterError(f"{path}: empty file") from None
+            feature_names, d_idx, n_idx, columns = _header_columns(path, header)
+
+            # each row keeps three integers and its values, never its key
+            # strings, so the ingest's Python objects do not grow with the file
+            day_of: dict[str, int] = {}
+            node_of: dict[str, int] = {}
+            at_day, at_node, lines = array("q"), array("q"), array("q")
+            values = array("d")
+            for row in reader:
+                if not row or all(not c.strip() for c in row):
+                    continue
+                line = reader.line_num
+                if len(row) != len(header):
+                    raise ParameterError(f"{path}:{line}: expected {len(header)} columns, got {len(row)}")
+                at_day.append(day_of.setdefault(row[d_idx].strip(), len(day_of)))
+                at_node.append(node_of.setdefault(row[n_idx].strip(), len(node_of)))
+                lines.append(line)
+                for col, i in columns:
+                    text = row[i].strip()
+                    if text == "":
+                        values.append(math.nan)
+                        continue
+                    try:
+                        values.append(float(text))
+                    except ValueError:
+                        raise ParameterError(f"{path}:{line}: cannot parse {col}={row[i]!r}") from None
+    except UnicodeDecodeError:
+        raise ParameterError(f"{path}: not UTF-8 text") from None
+    except csv.Error as err:
+        raise ParameterError(f"{path}:{reader.line_num}: {err}") from None
+
+    if not lines:
+        raise ParameterError(f"{path}: no data rows")
+    return _Rows(
+        feature_names,
+        day_of,
+        node_of,
+        np.frombuffer(at_day, dtype=np.int64),
+        np.frombuffer(at_node, dtype=np.int64),
+        lines,
+        np.frombuffer(values).reshape(-1, len(columns)),
+    )
+
+
+def _parse_blocks(path: str) -> _Rows | None:
+    """Parse a plain CSV in blocks of whole lines, or return None for the row loop.
+
+    Plain means: ASCII with no `"` or carriage return, at least one row
+    and no blank line, as many commas in every row as in the header, no
+    line longer than `csv.field_size_limit()`, keys that are printable
+    ASCII after stripping, and value cells that `float` reads, without
+    digit-group underscores. There `csv` would split rows on `\n` and
+    cells on `,` just as this does, so the rows are the row loop's, and
+    a row's line number is its index + 2. Anything else, the errors the
+    row loop reports included, is left to it; only a bad header raises
+    here, as it would there.
+    """
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        # first pass: decline what `csv` reads differently, and count the
+        # lines so that every buffer is sized once
+        n_breaks, last = 0, b"\n"
+        while block := fh.read(CSV_BLOCK_BYTES):
+            if b'"' in block or b"\r" in block or not block.isascii():
+                return None
+            n_breaks += block.count(b"\n")
+            last = block[-1:]
+        n_rows = n_breaks + (last != b"\n") - 1  # lines after the header
+        if n_rows < 1:
+            return None
+        fh.seek(0)
+        blocks = _line_blocks(fh, limit)
+        head, _, rest = next(blocks).partition(b"\n")
+        if len(head) > limit:
+            return None
+        header = head.decode().split(",")
+        feature_names, d_idx, n_idx, columns = _header_columns(path, header)
+
+        width = len(header)
+        day_of: dict[bytes, int] = {}
+        node_of: dict[bytes, int] = {}
+        at_day = np.empty(n_rows, dtype=np.int64)
+        at_node = np.empty(n_rows, dtype=np.int64)
+        values = np.empty((n_rows, len(columns)))
+        r = 0
+        for block in itertools.chain([rest], blocks):
+            lines = block.split(b"\n")
+            if not lines[-1]:
+                del lines[-1]  # the block's final line break
+            n = len(lines)
+            if not n:
+                continue
+            if (
+                r + n > n_rows  # the file grew since the first pass
+                or max(map(len, lines)) > limit
+                or set(map(bytes.count, lines, itertools.repeat(b","))) != {width - 1}
+            ):
+                return None
+            cells = b",".join(lines).split(b",")
+            for index, i, at in ((day_of, d_idx, at_day), (node_of, n_idx, at_node)):
+                stripped = list(map(bytes.strip, cells[i::width]))
+                for key in dict.fromkeys(stripped):
+                    if key not in index:
+                        if not _PLAIN_KEY.fullmatch(key):
+                            return None
+                        index[key] = len(index)
+                at[r : r + n] = list(map(index.__getitem__, stripped))
+            for j, (_, i) in enumerate(columns):
+                column = cells[i::width]
+                try:
+                    values[r : r + n, j] = list(map(float, column))
+                except ValueError:  # empty cells are NaN, as in the row loop
+                    try:
+                        values[r : r + n, j] = [float(t) if t.strip() else math.nan for t in column]
+                    except ValueError:
+                        return None
+            if b"_" in block and any(b"_" in b"".join(cells[i::width]) for _, i in columns):
+                return None
+            r += n
+            del lines, cells, stripped, column  # before the next block's are made
+    if r < n_rows:  # the file shrank since the first pass
+        return None
+    return _Rows(
+        feature_names,
+        {key.decode(): i for key, i in day_of.items()},
+        {key.decode(): i for key, i in node_of.items()},
+        at_day,
+        at_node,
+        range(2, n_rows + 2),
+        values,
+    )
+
+
+def _line_blocks(fh, limit: int) -> Iterator[bytes]:
+    """`fh` in blocks of about `CSV_BLOCK_BYTES`, each cut after its last line break.
+
+    A line longer than `limit` may come out cut, still longer than `limit`.
+    """
+    rest = b""
+    while block := fh.read(CSV_BLOCK_BYTES):
+        rest += block
+        cut = rest.rfind(b"\n") + 1
+        if not cut:
+            if len(rest) <= limit:
+                continue  # a line longer than one block
+            cut = len(rest)
+        yield rest[:cut]
+        rest = rest[cut:]
+    if rest:
+        yield rest
 
 
 def _date_key(date: str):

@@ -357,7 +357,16 @@ def temporal_self_attention(x_aug: Tensor, lp: SimpleNamespace, n_heads: int) ->
     scale = 1.0 / math.sqrt(dh)
     # (N, F, 3d) -> (3, N, h, F, d_h) views of the stacked Q, K, V heads
     q, k, v = fold_dot(x, w_qkv).reshape(n, f, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
-    attn = nm.softmax_array((q @ k.swapaxes(-1, -2)) * scale)
+    # `softmax_array` in place, with the row max taken by pairwise maxima
+    # over the F columns: a reduction over the short innermost axis is
+    # slow, and a max is exact whichever way it is taken
+    attn = (q @ k.swapaxes(-1, -2)) * scale
+    top = attn[..., :1].copy()
+    for j in range(1, f):
+        np.maximum(top, attn[..., j : j + 1], out=top)
+    attn -= top
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
     ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(n, f, d)
 
     def grads(g):
@@ -495,7 +504,17 @@ def node_attention(
     q = by_head(h.data @ w_q.data)
     k_t = np.ascontiguousarray(by_head(h.data @ w_k.data).swapaxes(-1, -2))
     scores = (q @ k_t) * scale
-    attn = nm.softmax_array(scores, topn_keep_mask(scores.mean(axis=0), n_keep))
+    # `softmax_array(scores, keep)`, exponentiating the kept scores only:
+    # each row keeps exactly `n_keep` columns, in order, and summing the
+    # dense rows keeps that softmax's rounding, so `attn` is bit-identical
+    rows, cols = np.nonzero(topn_keep_mask(scores.mean(axis=0), n_keep))
+    kept = scores[:, rows, cols].reshape(n_heads, n, n_keep)
+    kept -= kept.max(axis=-1, keepdims=True)
+    np.exp(kept, out=kept)
+    kept = kept.reshape(n_heads, -1)
+    attn = np.zeros_like(scores)
+    attn[:, rows, cols] = kept
+    attn[:, rows, cols] = kept / attn.sum(axis=-1)[:, rows]
     v_heads = tokens_by_head(v.data)
 
     def grads(g):

@@ -410,7 +410,8 @@ def tanh(x: Tensor) -> Tensor:
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
     """Logistic function of a plain array, overflow-free on both tails."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -491,10 +492,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    sq = xc * xc
+    var = sq.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    data = gamma.data * xhat + beta.data
+    xhat = np.multiply(xc, inv, out=xc)
+    data = np.multiply(gamma.data, xhat, out=sq)  # gamma * xhat + beta, in the squares' buffer
+    data += beta.data
 
     def bwd(g):
         if x.requires_grad:

@@ -1,10 +1,13 @@
 import csv
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from dualpath import data as data_module
+from dualpath.cli import main
 from dualpath.data import (
     PanelDataset,
     SplitSpec,
@@ -74,11 +77,22 @@ def test_ingest_duplicate_row_rejected(tmp_path):
     assert f"{p}:6: duplicate row for date=1 node=bb" in str(err.value)
 
 
-def test_ingest_holds_no_per_row_python_objects(tmp_path):
-    """The ingest's traced peak is a small multiple of the panel it returns;
-    keeping each row's (date, node) strings took more than twice as much."""
+def quote_node_ids(path):
+    """Rewrite a panel CSV with its node ids quoted, which only the row loop reads."""
+    text = path.read_text()
+    path.write_text(re.sub(r"^([^,\n]*),([^,\n]*),", r'\1,"\2",', text, flags=re.M))
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted_node_ids"])
+def test_ingest_holds_no_per_row_python_objects(tmp_path, quoted):
+    """The ingest's traced peak is a small multiple of the panel it returns,
+    through either reader; keeping each row's (date, node) strings took
+    more than twice as much."""
     p = tmp_path / "panel.csv"
     write_panel_csv(synth_market(n_nodes=40, n_days=300, n_features=4, seed=1), p)
+    if quoted:
+        quote_node_ids(p)
+    assert (data_module._parse_blocks(str(p)) is None) == quoted
     tracemalloc.start()
     try:
         ds = load_panel_csv(str(p))
@@ -298,6 +312,132 @@ def test_write_panel_csv_keeps_old_file_when_interrupted(tmp_path, monkeypatch):
         write_panel_csv(synth_market(n_nodes=4, n_days=20, n_clusters=2, seed=2), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["panel.csv"]
+
+
+# -- the block reader against the row loop ------------------------------------
+
+
+def text_panel(rows, header="date,node_id,f1,f2,target"):
+    return lambda path: path.write_bytes((header + "\n" + "\n".join(rows) + "\n").encode())
+
+
+def synth_panel(n_nodes, n_days, seed=2, **kwargs):
+    return lambda path: write_panel_csv(synth_market(n_nodes, n_days, seed=seed, **kwargs), path)
+
+
+GRID = [f"{d},{n},{d + 0.5},{d * 2.0},{0.01 * d}" for d in range(3) for n in ("aa", "bb")]
+TWO_DAYS = ["0,aa,1.0,2.0,0.01", "0,bb,1.0,2.0,0.01", "1,aa,1.0,2.0,0.01", "1,bb,1.0,2.0,0.01"]
+# node bb lacks its f1 cell on a tenth of its days: two days in a row, which
+# the forward fill mends, or four, one more than it mends
+FILL_ROWS = [f"{d},{n},{'' if n == 'bb' and d in (5, 6) else d},1,0" for d in range(20) for n in ("aa", "bb")]
+GAP_ROWS = [f"{d},{n},{'' if n == 'bb' and 5 <= d <= 8 else d},1,0" for d in range(40) for n in ("aa", "bb")]
+
+
+def with_cell(rows, row, col, text):
+    """`rows` with cell `col` of row `row` replaced by `text`."""
+    cells = rows[row].split(",")
+    cells[col] = text
+    return [*rows[:row], ",".join(cells), *rows[row + 1 :]]
+
+
+def raw_bytes(data):
+    return lambda path: path.write_bytes(data)
+
+
+# input -> (how it is written, which reader parses it: the block reader,
+# the row loop, or neither because its header is at fault)
+INGEST_CORPUS = {
+    # every CSV the tests above read
+    "small": (text_panel(GRID), "blocks"),
+    "reversed_rows": (text_panel(GRID[::-1]), "blocks"),
+    "unparseable": (text_panel(with_cell(TWO_DAYS, 1, 2, "oops")), "rows"),
+    "duplicate_with_blank_line": (text_panel([*TWO_DAYS[:2], "", TWO_DAYS[3], TWO_DAYS[3]]), "rows"),
+    "duplicate": (text_panel([*TWO_DAYS, TWO_DAYS[1]]), "blocks"),
+    "infinite_feature": (text_panel(with_cell(TWO_DAYS, 3, 3, "-inf")), "blocks"),
+    "infinite_target": (text_panel(with_cell(with_cell(TWO_DAYS, 1, 4, "inf"), 3, 4, "")), "blocks"),
+    "nan_text_and_empty_target": (text_panel(with_cell(with_cell(TWO_DAYS, 2, 4, "nan"), 3, 4, "")), "blocks"),
+    "NaN_text_target": (text_panel(with_cell(TWO_DAYS, 3, 4, "NaN")), "blocks"),
+    "missing_row_drops_node": (text_panel([r for r in FILL_ROWS if not r.startswith("2,bb")]), "blocks"),
+    "gap_beyond_fill_limit": (text_panel(GAP_ROWS), "blocks"),
+    "non_utf8": (raw_bytes(b"date,node_id,f1,f2,target\n0,aa,1.0,2.0,0.01\n0,caf\xe9,1.0,2.0,0.01\n"), "rows"),
+    "oversized_field": (text_panel(with_cell(TWO_DAYS, 1, 2, "1" * 131_073)), "rows"),
+    "oversized_header_field": (text_panel(TWO_DAYS, header=f"date,node_id,f1,{'f' * 131_073},target"), "rows"),
+    "key_columns_in_any_order": (
+        text_panel(["0.01,1.0,aa,2.0,0", ",3.0,bb,4.0,0", "0.02,5.0,aa,6.0,1"], "target,f1,node_id,f2,date"),
+        "blocks",
+    ),
+    "repeated_column": (text_panel(TWO_DAYS, header="date,node_id,f,f,target"), "header"),
+    "missing_column": (text_panel(["0,aa,1.0"], header="date,node_id,f1"), "header"),
+    "round_trip_synth": (synth_panel(6, 20, n_clusters=2, seed=3), "blocks"),
+    # what the block reader takes besides
+    "synth_10x100": (synth_panel(10, 100), "blocks"),
+    "synth_50x600": (synth_panel(50, 600), "blocks"),
+    "synth_200x750": (synth_panel(200, 750), "blocks"),
+    "padded_cells": (
+        text_panel([" 0 , aa , 1.5 ,\t2.0, 0.01 ", "0,bb, 1.5,2.0 ,0.01", "1,aa,1,2,3", "1, bb ,4,5, "]),
+        "blocks",
+    ),
+    "empty_feature_cells_within_fill_limit": (text_panel(FILL_ROWS), "blocks"),
+    "no_final_newline": (raw_bytes("\n".join(["date,node_id,f1,f2,target", *GRID]).encode()), "blocks"),
+    "integer_and_iso_dates": (
+        text_panel([f"{d},{n},1,2,0.5" for d in ("10", "2020-01-02", "9", "2019-12-31") for n in ("aa", "bb")]),
+        "blocks",
+    ),
+    "line_longer_than_a_block": (text_panel(with_cell(GRID, 0, 2, "0." + "1" * 70_000)), "blocks"),
+    # what the block reader leaves to the row loop
+    "crlf_line_ends": (raw_bytes("\r\n".join(["date,node_id,f1,f2,target", *GRID, ""]).encode()), "rows"),
+    "quoted_key": (text_panel(with_cell(TWO_DAYS, 0, 1, '"aa"')), "rows"),
+    "non_ascii_key": (text_panel(with_cell(with_cell(TWO_DAYS, 1, 1, "café"), 3, 1, "café")), "rows"),
+    "key_padded_with_x1f": (text_panel(with_cell(with_cell(TWO_DAYS, 1, 1, "\x1fbb"), 3, 1, "bb\x1f")), "rows"),
+    "blank_line": (text_panel([*GRID[:3], "", *GRID[3:]]), "rows"),
+    "blank_cells_row": (text_panel([*GRID[:3], " , ,,,", *GRID[3:]]), "rows"),
+    "digit_group_underscores": (text_panel(with_cell(GRID, 0, 2, "1_000")), "rows"),
+    "wrong_column_count": (text_panel([*GRID[:2], "1,aa,1.0,0.01"]), "rows"),
+    "column_counts_that_even_out": (text_panel([*GRID[:2], "1,aa,1.0,0.01", "1,bb,1.0,2.0,0.01,9"]), "rows"),
+    "header_only": (raw_bytes(b"date,node_id,f1,f2,target\n"), "rows"),
+    "empty_file": (raw_bytes(b""), "rows"),
+}
+
+
+def reader_of(path):
+    try:
+        return "rows" if data_module._parse_blocks(str(path)) is None else "blocks"
+    except ParameterError:
+        return "header"
+
+
+def ingest_outcome(path):
+    """All `load_panel_csv` gives: the dataset, bit for bit, and its warnings; or its message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            ds = load_panel_csv(str(path))
+        except ParameterError as err:
+            return str(err)
+    arrays = (ds.features.shape, ds.features.tobytes(), ds.targets.tobytes())
+    return ds.dates, ds.node_ids, ds.feature_names, arrays, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("name", list(INGEST_CORPUS))
+def test_block_reader_matches_row_loop(tmp_path, monkeypatch, name):
+    write, reader = INGEST_CORPUS[name]
+    path = tmp_path / "panel.csv"
+    write(path)
+    assert reader_of(path) == reader
+    got = ingest_outcome(path)
+    monkeypatch.setattr(data_module, "_parse_blocks", lambda path: None)
+    assert got == ingest_outcome(path)
+
+
+def test_block_reader_takes_gen_data_panel(tmp_path):
+    argv = ["--nodes", "10", "--days", "100", "--clusters", "2", "--seed", "5"]  # criterion 10's panel
+    assert main(["gen-data", "--out", str(tmp_path), *argv]) == 0
+    assert reader_of(tmp_path / "panel.csv") == "blocks"
+
+
+def test_block_reader_declines_the_quoting_corpus(tmp_path):
+    write_panel_csv(quoting_panel(), tmp_path / "panel.csv")
+    assert reader_of(tmp_path / "panel.csv") == "rows"
 
 
 # -- normalization ------------------------------------------------------------

@@ -359,9 +359,10 @@ def _ncorr_reference(h, z_i, w_q, w_k, w_v, n_keep, n_heads):
     return out, attn.data.mean(axis=0)
 
 
-def test_ncorr_matches_reference_composition_bitwise_at_market_width():
+@pytest.mark.parametrize("topn_ratio", [0.005, 0.1, 1.0], ids=["n_keep=1", "n_keep=20", "n_keep=200"])
+def test_ncorr_matches_reference_composition_bitwise_at_market_width(topn_ratio):
     cfg = ModelConfig(
-        n_nodes=200, n_features=4, lookback=6, d_model=16, n_heads=4, n_layers=1, topn_ratio=0.1
+        n_nodes=200, n_features=4, lookback=6, d_model=16, n_heads=4, n_layers=1, topn_ratio=topn_ratio
     )
     lp = ModelParams.init(cfg, seed=18).layers[0]
     rng = np.random.default_rng(18)

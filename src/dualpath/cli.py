@@ -27,6 +27,7 @@ import numpy as np
 from .data import (
     PanelDataset,
     SplitSpec,
+    atomic_open,
     cluster_labels,
     load_panel_csv,
     make_windows,
@@ -201,7 +202,7 @@ def write_config_snapshot(cfg: dict[str, dict[str, str]], path: str) -> None:
         parser.add_section(section)
         for key, value in values.items():
             parser.set(section, key, str(value))
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         parser.write(fh)
 
 
@@ -302,7 +303,7 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "checkpoint.bin"), params)
     write_config_snapshot(cfg, os.path.join(args.out, "config.ini"))
-    with open(os.path.join(args.out, "runlog.jsonl"), "w") as fh:
+    with atomic_open(os.path.join(args.out, "runlog.jsonl")) as fh:
         fh.write(log.to_jsonl())
     last = log.records[-1]
     ic = "n/a" if last.val_ic is None else f"{last.val_ic:.4f}"
@@ -338,9 +339,9 @@ def cmd_backtest(args) -> int:
     out_dir = args.out or args.run
     os.makedirs(out_dir, exist_ok=True)
     text = format_report(report)
-    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, "report.txt")) as fh:
         fh.write(text)
-    with open(os.path.join(out_dir, "daily_returns.csv"), "w", newline="") as fh:
+    with atomic_open(os.path.join(out_dir, "daily_returns.csv"), newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["day_index", "return"])
         for sample, value in zip(test_samples, report.daily_returns):

@@ -397,6 +397,23 @@ def _csv_key(key: str) -> str:
     return buf.getvalue()[:-2]
 
 
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w", **kwargs) -> Iterator:
+    """Open a sibling `<path>.<pid>.tmp` for writing; it replaces `path` only
+    when the block finishes, and is removed if the block or the replace
+    fails, so a failed write leaves the old file as it was, never a partial
+    one. There is no `fsync`: this does not make the data durable."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_panel_csv(ds: PanelDataset, path: str) -> None:
     """Long-format export; NaN targets become empty cells. Byte-deterministic.
 
@@ -404,31 +421,21 @@ def write_panel_csv(ds: PanelDataset, path: str) -> None:
     the writer works one day at a time: each date and node id is quoted
     once, each day's values leave numpy in one `tolist()` and its rows go
     out in one `write`, so `repr` is almost the whole cost, and no more
-    than one day's text is held. The panel is written to a sibling file
-    that replaces `path` only when complete, so an interrupted write
-    leaves the old file, never a shorter panel.
+    than one day's text is held. The panel is written through `atomic_open`,
+    so an interrupted write leaves the old file, never a shorter panel.
     """
     features = np.asarray(ds.features, dtype=np.float64)
     targets = np.asarray(ds.targets, dtype=np.float64)
     nodes = [_csv_key(node) for node in ds.node_ids]
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(
-                [DATE_COL, NODE_COL, *ds.feature_names, TARGET_COL]
-            )
-            for date, day_x, day_y in zip(ds.dates, features, targets):
-                prefix = _csv_key(date) + ","
-                rows = [
-                    f"{prefix}{node},{','.join([*map(repr, x), '' if math.isnan(y) else repr(y)])}\n"
-                    for node, x, y in zip(nodes, day_x.tolist(), day_y.tolist())
-                ]
-                fh.write("".join(rows))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with atomic_open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow([DATE_COL, NODE_COL, *ds.feature_names, TARGET_COL])
+        for date, day_x, day_y in zip(ds.dates, features, targets):
+            prefix = _csv_key(date) + ","
+            rows = [
+                f"{prefix}{node},{','.join([*map(repr, x), '' if math.isnan(y) else repr(y)])}\n"
+                for node, x, y in zip(nodes, day_x.tolist(), day_y.tolist())
+            ]
+            fh.write("".join(rows))
 
 
 def normalize_features(ds: PanelDataset, train_days: int) -> PanelDataset:

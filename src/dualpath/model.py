@@ -40,6 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from . import numerics as nm
+from .data import atomic_open
 from .numerics import (
     NumericError,
     ParameterError,
@@ -673,7 +674,7 @@ def write_named_tensors(path: str, named: dict[str, np.ndarray]) -> None:
         buf.write(struct.pack("<BB", _DTYPE_F64, arr.ndim))
         buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
         buf.write(arr.astype("<f8").tobytes())
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(buf.getvalue())
 
 

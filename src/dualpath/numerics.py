@@ -4,12 +4,15 @@ Every array the network touches is a `Tensor`: a C-contiguous float64
 ndarray plus an optional gradient buffer and the links needed to replay
 the forward pass backwards. The op set is exactly what the model needs
 (matmul, softmax, top-n masked softmax, layer norm, the usual elementwise
-activations and reductions) plus `fused`, which records a whole
-composition as one node whose backward is derived by hand; its plain-array
-kernels (`softmax_array`, `softmax_array_grad`, `sigmoid_array` and the
-GEMM folds `fold_dot`, `fold_wgrad`, `fold_bgrad`) are the ones the
-single ops use. Every differentiable op can be checked against
-central finite differences via `grad_check`.
+activations and reductions). `fused` is the one node constructor: every
+op, and every whole composition the model records as one node, is its
+forward expression plus a `grads(g)` that maps the gradient at the
+result to one gradient per parent, or None for a parent that records
+none. The plain-array kernels the model's compositions use
+(`softmax_array`, `softmax_array_grad`, `sigmoid_array` and the GEMM
+folds `fold_dot`, `fold_wgrad`, `fold_bgrad`) are the ones the single
+ops use. Every differentiable op can be checked against central finite
+differences via `grad_check`.
 
 Graphs are per-result: each Tensor records its parents and a closure
 that routes the incoming gradient, so independent forward passes never
@@ -167,10 +170,10 @@ class Tensor:
         return _add(_wrap(other), self)
 
     def __sub__(self, other):
-        return _add(self, _neg(_wrap(other)))
+        return _sub(self, _wrap(other))
 
     def __rsub__(self, other):
-        return _add(_wrap(other), _neg(self))
+        return _sub(_wrap(other), self)
 
     def __mul__(self, other):
         return _mul(self, _wrap(other))
@@ -185,39 +188,37 @@ class Tensor:
         return _div(_wrap(other), self)
 
     def __neg__(self):
-        return _neg(self)
+        return fused(-self.data, (self,), lambda g: (-g,))
 
 
 def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], bwd) -> Tensor:
-    """Build a result node, recording parents only when a grad can flow."""
-    out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = bwd
-    return out
-
-
 def fused(data: np.ndarray, parents: Sequence[Tensor], grads: Callable) -> Tensor:
-    """One graph node for a whole composition, with a hand-derived backward.
+    """The graph node holding `data`, computed from `parents`: every op builds its result here.
 
     `grads(g)` maps the gradient at the result to one gradient per
-    parent, each shaped like that parent. A parent's gradient is added
-    only where it records gradients; its entry may be None where it does
-    not, so a closure can skip work for constant inputs.
+    parent, each shaped like that parent; it may be one op's derivative
+    or a whole composition's hand-derived backward. Parents are recorded
+    only when one of them records gradients, and then `grads` runs once
+    per backward pass. A parent's gradient is added only where it records
+    gradients; its entry may be None where it does not, so `grads` can
+    skip work for constant inputs.
     """
+    out = Tensor(data)
     parents = tuple(parents)
+    if any(p.requires_grad for p in parents):
 
-    def bwd(g):
-        for p, gp in zip(parents, grads(g)):
-            if p.requires_grad:
-                p._accumulate(gp)
+        def bwd(g):
+            for p, gp in zip(parents, grads(g)):
+                if p.requires_grad:
+                    p._accumulate(gp)
 
-    return _make(data, parents, bwd)
+        out.requires_grad = True
+        out._parents = parents
+        out._backward = bwd
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -234,47 +235,29 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- arithmetic ---------------------------------------------------------------
 
 
+def _binary(data: np.ndarray, a: Tensor, b: Tensor, grad_a: Callable, grad_b: Callable) -> Tensor:
+    """The node of a broadcasting binary op: `grad_a(g)` runs only where `a`
+    records gradients and is summed back to `a`'s shape, likewise for `b`."""
+    return fused(data, (a, b), lambda g: (
+        _unbroadcast(grad_a(g), a.shape) if a.requires_grad else None,
+        _unbroadcast(grad_b(g), b.shape) if b.requires_grad else None,
+    ))
+
+
 def _add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
-
-    return _make(data, (a, b), bwd)
+    return _binary(a.data + b.data, a, b, lambda g: g, lambda g: g)
 
 
-def _neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        a._accumulate(-g)
-
-    return _make(-a.data, (a,), bwd)
+def _sub(a: Tensor, b: Tensor) -> Tensor:
+    return _binary(a.data - b.data, a, b, lambda g: g, lambda g: -g)
 
 
 def _mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return _make(data, (a, b), bwd)
+    return _binary(a.data * b.data, a, b, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def _div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(data, (a, b), bwd)
+    return _binary(a.data / b.data, a, b, lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data))
 
 
 def fold_dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -303,43 +286,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data @ b.data
     except ValueError as err:
         raise ShapeError(f"matmul broadcast failed: {a.shape} @ {b.shape}") from err
-
-    def bwd(g):
-        if b.ndim == 2 and a.ndim > 2:
-            # a 2-D weight shared by every leading index: each gradient is one GEMM
-            if a.requires_grad:
-                a._accumulate(fold_dot(g, b.data.T))
-            if b.requires_grad:
-                b._accumulate(fold_wgrad(a.data, g))
-            return
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-    return _make(data, (a, b), bwd)
+    if b.ndim == 2 and a.ndim > 2:
+        # a 2-D weight shared by every leading index: each gradient is one GEMM
+        return fused(data, (a, b), lambda g: (
+            fold_dot(g, b.data.T) if a.requires_grad else None,
+            fold_wgrad(a.data, g) if b.requires_grad else None,
+        ))
+    return _binary(
+        data, a, b, lambda g: g @ np.swapaxes(b.data, -1, -2), lambda g: np.swapaxes(a.data, -1, -2) @ g
+    )
 
 
 # -- shape manipulation -------------------------------------------------------
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    data = x.data.reshape(shape)
-
-    def bwd(g):
-        x._accumulate(g.reshape(x.shape))
-
-    return _make(data, (x,), bwd)
+    return fused(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
 
 
 def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    data = np.ascontiguousarray(np.transpose(x.data, axes))
     inverse = np.argsort(axes)
-
-    def bwd(g):
-        x._accumulate(np.transpose(g, inverse))
-
-    return _make(data, (x,), bwd)
+    return fused(np.ascontiguousarray(np.transpose(x.data, axes)), (x,), lambda g: (np.transpose(g, inverse),))
 
 
 def transpose_last2(x: Tensor) -> Tensor:
@@ -353,34 +320,29 @@ def transpose_last2(x: Tensor) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
-            if t.requires_grad:
-                t._accumulate(piece)
-
-    return _make(data, tensors, bwd)
+    offsets = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return fused(data, tensors, lambda g: np.split(g, offsets, axis=axis))
 
 
 # -- reductions ---------------------------------------------------------------
 
 
+def _spread(g: np.ndarray, x: Tensor, axis, keepdims: bool) -> np.ndarray:
+    """Gradient at `x` of a sum over `axis`: `g` broadcast back to `x`'s shape, as a new array."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, x.shape).copy()
+
+
 def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        x._accumulate(np.broadcast_to(g, x.shape).copy())
-
-    return _make(data, (x,), bwd)
+    return fused(x.data.sum(axis=axis, keepdims=keepdims), (x,), lambda g: (_spread(g, x, axis, keepdims),))
 
 
 def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = x.size if axis is None else x.shape[axis]
-    return sum_(x, axis=axis, keepdims=keepdims) * (1.0 / count)
+    """`sum_` times 1 / count, as one node."""
+    scale = 1.0 / (x.size if axis is None else x.shape[axis])
+    data = x.data.sum(axis=axis, keepdims=keepdims) * scale
+    return fused(data, (x,), lambda g: (_spread(g * scale, x, axis, keepdims),))
 
 
 # -- elementwise activations ----------------------------------------------
@@ -388,23 +350,14 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     x = _wrap(x)
-    data = np.maximum(x.data, 0.0)
-
-    def bwd(g):
-        # subgradient at 0 taken as 0
-        x._accumulate(g * (x.data > 0.0))
-
-    return _make(data, (x,), bwd)
+    # subgradient at 0 taken as 0
+    return fused(np.maximum(x.data, 0.0), (x,), lambda g: (g * (x.data > 0.0),))
 
 
 def tanh(x: Tensor) -> Tensor:
     x = _wrap(x)
     data = np.tanh(x.data)
-
-    def bwd(g):
-        x._accumulate(g * (1.0 - data * data))
-
-    return _make(data, (x,), bwd)
+    return fused(data, (x,), lambda g: (g * (1.0 - data * data),))
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
@@ -417,31 +370,19 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
 def sigmoid(x: Tensor) -> Tensor:
     x = _wrap(x)
     data = sigmoid_array(x.data)
-
-    def bwd(g):
-        x._accumulate(g * data * (1.0 - data))
-
-    return _make(data, (x,), bwd)
+    return fused(data, (x,), lambda g: (g * data * (1.0 - data),))
 
 
 def exp(x: Tensor) -> Tensor:
     x = _wrap(x)
     data = np.exp(x.data)
-
-    def bwd(g):
-        x._accumulate(g * data)
-
-    return _make(data, (x,), bwd)
+    return fused(data, (x,), lambda g: (g * data,))
 
 
 def sqrt(x: Tensor) -> Tensor:
     x = _wrap(x)
     data = np.sqrt(x.data)
-
-    def bwd(g):
-        x._accumulate(g * 0.5 / data)
-
-    return _make(data, (x,), bwd)
+    return fused(data, (x,), lambda g: (g * 0.5 / data,))
 
 
 # -- structured ops -----------------------------------------------------------
@@ -466,10 +407,7 @@ def softmax_array_grad(p: np.ndarray, g: np.ndarray, *, axis: int = -1) -> np.nd
 
 
 def _softmax_node(x: Tensor, data: np.ndarray) -> Tensor:
-    def bwd(g):
-        x._accumulate(softmax_array_grad(data, g))
-
-    return _make(data, (x,), bwd)
+    return fused(data, (x,), lambda g: (softmax_array_grad(data, g),))
 
 
 def softmax_lastaxis(x: Tensor) -> Tensor:
@@ -499,18 +437,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     data = np.multiply(gamma.data, xhat, out=sq)  # gamma * xhat + beta, in the squares' buffer
     data += beta.data
 
-    def bwd(g):
+    def grads(g):
+        gx = None
         if x.requires_grad:
             gx = g * gamma.data
             m1 = gx.mean(axis=-1, keepdims=True)
             m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (gx - m1 - xhat * m2))
-        if gamma.requires_grad:
-            gamma._accumulate(_unbroadcast(g * xhat, gamma.shape))
-        if beta.requires_grad:
-            beta._accumulate(_unbroadcast(g, beta.shape))
+            gx = inv * (gx - m1 - xhat * m2)
+        return (
+            gx,
+            _unbroadcast(g * xhat, gamma.shape) if gamma.requires_grad else None,
+            _unbroadcast(g, beta.shape) if beta.requires_grad else None,
+        )
 
-    return _make(data, (x, gamma, beta), bwd)
+    return fused(data, (x, gamma, beta), grads)
 
 
 def topn_keep_mask(scores: np.ndarray, n: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import gc
 import shutil
@@ -19,7 +20,7 @@ from dualpath.cli import (
     write_config_snapshot,
 )
 from dualpath.loss import LossConfig
-from dualpath.model import ModelConfig
+from dualpath.model import ModelConfig, ModelParams, save_checkpoint
 from dualpath.train import TrainConfig
 
 FAST_OVERRIDES = [
@@ -221,6 +222,37 @@ def test_train_emits_artifacts_and_snapshot_records_ablation(tmp_path):
     log = (run_dir / "runlog.jsonl").read_text().strip().splitlines()
     assert '"no_dpgate"' in log[0]
     assert len(log) == 1 + 2  # config line + one record per epoch
+
+
+def test_failed_artifact_writes_leave_the_previous_files(tmp_path, monkeypatch):
+    # a disk that fills up mid-write must not truncate an earlier run's files
+    cfg = ModelConfig(n_nodes=4, n_features=3, lookback=5, d_model=8, n_heads=2)
+    checkpoint, config = tmp_path / "checkpoint.bin", tmp_path / "config.ini"
+    save_checkpoint(str(checkpoint), ModelParams.init(cfg, seed=1))
+    write_config_snapshot(load_config(None, []), str(config))
+    before = {p.name: p.read_bytes() for p in (checkpoint, config)}
+    real_open = builtins.open
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        """A file opened for writing takes half of its first write, then fails like a full disk."""
+        fh = real_open(file, mode, *args, **kwargs)
+        if "r" not in mode:
+            real_write = fh.write
+
+            def write(data):
+                real_write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+            fh.write = write
+        return fh
+
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", full_disk_open)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(str(checkpoint), ModelParams.init(cfg, seed=2))
+        with pytest.raises(OSError, match="No space"):
+            write_config_snapshot(load_config(None, ["model.d_model=16"]), str(config))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("layers", [1, 2])

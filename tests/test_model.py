@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -338,20 +339,31 @@ def test_ncorr_multi_head_rows_keep_exact_support():
     assert np.abs(attn.sum(axis=1) - 1.0).max() < 1e-9
 
 
-def _ncorr_reference(h, z_i, w_q, w_k, w_v, n_keep, n_heads):
-    # the composition ncorr_attention replaced: a stable-argsort top-n mask,
+def _topn_masked_softmax(scores, n_keep):
+    return nm.masked_softmax(scores, nm.topn_keep_mask(scores.data.mean(axis=0), n_keep))
+
+
+def _argsort_filled_softmax(scores, n_keep):
+    # the step ncorr_attention replaced: a stable-argsort top-n mask,
     # dropped scores filled with -1e30, then a plain softmax
+    n = scores.shape[-1]
+    order = np.argsort(-scores.data.mean(axis=0), axis=-1, kind="stable")
+    keep = np.zeros((n, n), dtype=bool)
+    np.put_along_axis(keep, order[:, :n_keep], True, axis=-1)
+    keep = np.broadcast_to(keep, scores.shape)
+    return nm.softmax_lastaxis(scores * keep + np.where(keep, 0.0, -1e30))
+
+
+def _ncorr_composition(h, z_i, w_q, w_k, w_v, n_keep, n_heads, attend=_topn_masked_softmax):
+    # ncorr_attention as per-op nodes, with `attend(scores, n_keep)` as its
+    # mask-and-softmax step
     n, f, _ = z_i.shape
     d_g = w_v.shape[1]
     dh = d_g // n_heads
     q = nm.permute(nm.reshape(nm.matmul(h, w_q), (n, n_heads, dh)), (1, 0, 2))
     k = nm.permute(nm.reshape(nm.matmul(h, w_k), (n, n_heads, dh)), (1, 0, 2))
     scores = nm.matmul(q, nm.transpose_last2(k)) * (1.0 / math.sqrt(dh))
-    order = np.argsort(-scores.data.mean(axis=0), axis=-1, kind="stable")
-    keep = np.zeros((n, n), dtype=bool)
-    np.put_along_axis(keep, order[:, :n_keep], True, axis=-1)
-    keep = np.broadcast_to(keep, scores.shape)
-    attn = nm.softmax_lastaxis(scores * keep + np.where(keep, 0.0, -1e30))
+    attn = attend(scores, n_keep)
     v = nm.matmul(z_i, w_v)
     v_heads = nm.reshape(nm.permute(nm.reshape(v, (n, f, n_heads, dh)), (2, 0, 1, 3)), (n_heads, n, f * dh))
     ctx = nm.matmul(attn, v_heads)
@@ -370,7 +382,7 @@ def test_ncorr_matches_reference_composition_bitwise_at_market_width(topn_ratio)
     z_data = rng.standard_normal((200, 4, 16))
     w = rng.standard_normal((200, 4, 16))
     results = []
-    for fn in (ncorr_attention, _ncorr_reference):
+    for fn in (ncorr_attention, partial(_ncorr_composition, attend=_argsort_filled_softmax)):
         h, z_i = Tensor(h_data, requires_grad=True), Tensor(z_data, requires_grad=True)
         weights = [Tensor(t.data, requires_grad=True) for t in (lp.qg_temp, lp.kg_temp, lp.vg)]
         out, attn = fn(h, z_i, *weights, cfg.n_keep, cfg.n_heads)
@@ -843,21 +855,6 @@ def _summary_composition(a, b, w_q, w_k):
     return nm.sum_(weights * a, axis=-1)
 
 
-def _ncorr_composition(h, z_i, w_q, w_k, w_v, n_keep, n_heads):
-    n, f, _ = z_i.shape
-    d_g = w_v.shape[1]
-    dh = d_g // n_heads
-    q = nm.permute(nm.reshape(nm.matmul(h, w_q), (n, n_heads, dh)), (1, 0, 2))
-    k = nm.permute(nm.reshape(nm.matmul(h, w_k), (n, n_heads, dh)), (1, 0, 2))
-    scores = nm.matmul(q, nm.transpose_last2(k)) * (1.0 / math.sqrt(dh))
-    attn = nm.masked_softmax(scores, nm.topn_keep_mask(scores.data.mean(axis=0), n_keep))
-    v = nm.matmul(z_i, w_v)
-    v_heads = nm.reshape(nm.permute(nm.reshape(v, (n, f, n_heads, dh)), (2, 0, 1, 3)), (n_heads, n, f * dh))
-    ctx = nm.matmul(attn, v_heads)
-    out = nm.reshape(nm.permute(nm.reshape(ctx, (n_heads, n, f, dh)), (1, 2, 0, 3)), (n, f, d_g))
-    return out, attn.data.mean(axis=0)
-
-
 def _gate_composition(o_feat, o_temp, ws_f=None, bs_f=None, ws_t=None, bs_t=None, wm=None):
     gated_feat = None if o_feat is None else nm.tanh(nm.matmul(o_feat, ws_f) + bs_f) * o_feat
     gated_temp = None if o_temp is None else nm.tanh(nm.matmul(o_temp, ws_t) + bs_t) * o_temp
@@ -1018,7 +1015,7 @@ def test_desk_day_step_graph_node_count():
     rng = np.random.default_rng(0)
     y_hat, _ = forward(rng.standard_normal((50, 30, 8)), params, cfg)
     loss = total_loss(y_hat, Tensor(rng.standard_normal((50, 1))), LossConfig())
-    assert _op_nodes(loss) == 62
+    assert _op_nodes(loss) == 59
 
 
 def test_both_paths_of_a_layer_share_one_value_map_node():

@@ -528,6 +528,64 @@ def test_grad_check_rejects_bad_step():
         grad_check(lambda t: nm.sum_(t), Tensor([1.0]), h=0.0)
 
 
+# every differentiable op, as (build, operand shapes); `_op_grads` feeds
+# it positive operands, so sqrt and div stay finite
+_KEEP = np.random.default_rng(23).random((3, 4)) < 0.5
+_KEEP[:, 0] = True
+OPS = {
+    "add": (lambda a, b: a + b, [(3, 4), (4,)]),
+    "sub": (lambda a, b: a - b, [(3, 4), (3, 1)]),
+    "mul": (lambda a, b: a * b, [(3, 4), (3, 4)]),
+    "div": (lambda a, b: a / b, [(3, 4), (1, 4)]),
+    "neg": (lambda a: -a, [(3, 4)]),
+    "matmul_weight": (nm.matmul, [(2, 3, 4), (4, 5)]),
+    "matmul_broadcast": (nm.matmul, [(3, 4), (2, 4, 5)]),
+    "reshape": (lambda a: nm.reshape(a, (4, 3)), [(3, 4)]),
+    "permute": (lambda a: nm.permute(a, (1, 0, 2)), [(2, 3, 4)]),
+    "concat": (lambda *ts: nm.concat(ts, axis=-1), [(3, 2), (3, 4), (3, 1)]),
+    "sum_": (lambda a: nm.sum_(a, axis=1), [(3, 4)]),
+    "mean": (lambda a: nm.mean(a, axis=0, keepdims=True), [(3, 4)]),
+    "relu": (nm.relu, [(3, 4)]),
+    "tanh": (nm.tanh, [(3, 4)]),
+    "sigmoid": (nm.sigmoid, [(3, 4)]),
+    "exp": (nm.exp, [(3, 4)]),
+    "sqrt": (nm.sqrt, [(3, 4)]),
+    "softmax": (nm.softmax_lastaxis, [(3, 4)]),
+    "masked_softmax": (lambda a: nm.masked_softmax(a, _KEEP), [(3, 4)]),
+    "layer_norm": (nm.layer_norm, [(3, 4), (4,), (4,)]),
+}
+
+
+def _op_grads(name, records):
+    """Gradients of sum(op(...) * w) at each operand; operand i records gradients where records[i]."""
+    build, shapes = OPS[name]
+    rng = np.random.default_rng(24)
+    operands = [Tensor(rng.random(shape) + 0.5, requires_grad=r) for shape, r in zip(shapes, records)]
+    out = build(*operands)
+    nm.sum_(out * rng.standard_normal(out.shape)).backward()
+    return [t.grad for t in operands]
+
+
+@pytest.mark.parametrize("name", OPS)
+def test_op_gives_constant_operands_no_gradient(name):
+    arity = len(OPS[name][1])
+    every = _op_grads(name, [True] * arity)
+    for i in range(arity):
+        alone = _op_grads(name, [j == i for j in range(arity)])
+        assert all(g is None for j, g in enumerate(alone) if j != i)
+        assert np.array_equal(alone[i], every[i])
+
+
+@pytest.mark.parametrize("name", OPS)
+def test_op_over_constants_records_nothing(name):
+    build, shapes = OPS[name]
+    out = build(*[Tensor(np.ones(shape)) for shape in shapes])
+    assert not out.requires_grad and out._parents == () and out._backward is None
+
+
+_ACTIVATIONS = np.random.default_rng(25).standard_normal((3, 4, 4))
+
+
 @pytest.mark.parametrize(
     "name,f",
     [
@@ -546,6 +604,15 @@ def test_grad_check_rejects_bad_step():
         ("sqrt_of_squares", lambda t: nm.sum_(nm.sqrt(t * t + 1.0))),
         ("div", lambda t: nm.sum_(t / (t * t + 2.0))),
         ("mean", lambda t: nm.mean(t * t * t)),
+        ("sub", lambda t: nm.sum_((nm.tanh(t) - t * t) * t)),
+        ("rsub", lambda t: nm.sum_((1.0 - t) * t * t)),
+        ("neg", lambda t: nm.sum_(-t * nm.tanh(t))),
+        ("reshape", lambda t: nm.sum_(nm.reshape(t, (2, 8)) * nm.reshape(t * t, (2, 8)))),
+        ("sum_axis", lambda t: nm.sum_(nm.sum_(t * t, axis=0) * nm.sum_(t, axis=1))),
+        ("sum_keepdims", lambda t: nm.sum_(nm.sum_(t, axis=-1, keepdims=True) * t * t)),
+        ("mean_axis", lambda t: nm.sum_(nm.mean(t, axis=1) * nm.mean(t * t, axis=0))),
+        ("mean_keepdims", lambda t: nm.sum_((t - nm.mean(t, axis=-1, keepdims=True)) * t * t)),
+        ("bias_add", lambda t: nm.sum_(nm.tanh(nm.matmul(Tensor(_ACTIVATIONS), t) + nm.sum_(t, axis=0)))),
         ("concat", lambda t: nm.sum_((y := nm.concat([t, t * t], axis=-1)) * y)),
         ("permute", lambda t: nm.sum_(nm.transpose_last2(t) * nm.transpose_last2(t))),
         (

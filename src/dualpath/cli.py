@@ -248,20 +248,20 @@ def heatmap_svg(matrix: np.ndarray, title: str) -> str:
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         for row in matrix:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def cluster_attention_mass(matrix: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """Mean off-diagonal attention weight on same-cluster vs other-cluster pairs."""
+def cluster_attention_mass(matrix: np.ndarray, labels: np.ndarray) -> tuple[float | None, float | None]:
+    """Mean off-diagonal attention weight on same-cluster vs other-cluster pairs;
+    None for a side with no pairs (every cluster one node, or one cluster)."""
     n = matrix.shape[0]
     same = labels[:, None] == labels[None, :]
     off_diag = ~np.eye(n, dtype=bool)
-    intra = matrix[same & off_diag]
-    inter = matrix[~same & off_diag]
-    return float(intra.mean()), float(inter.mean())
+    sides = (matrix[same & off_diag], matrix[~same & off_diag])
+    return tuple(float(side.mean()) if side.size else None for side in sides)
 
 
 # -- subcommands ---------------------------------------------------------
@@ -406,7 +406,7 @@ def cmd_export_attention(args) -> int:
                 continue
             stem = os.path.join(args.out, f"layer{layer}_{path_name}")
             write_matrix_csv(matrix, stem + ".csv")
-            with open(stem + ".svg", "w") as fh:
+            with atomic_open(stem + ".svg") as fh:
                 fh.write(heatmap_svg(matrix, f"layer {layer} {path_name} path (day {sample.day_index})"))
             exported.append((layer, path_name, matrix))
     print(f"exported {len(exported)} attention matrices for day {sample.day_index}")
@@ -416,12 +416,15 @@ def cmd_export_attention(args) -> int:
         lines = []
         for layer, path_name, matrix in exported:
             intra, inter = cluster_attention_mass(matrix, labels)
-            ratio = intra / inter if inter > 0 else float("inf")
+            if intra is None or inter is None:
+                ratio = "n/a"
+            else:
+                ratio = f"{intra / inter:.3f}" if inter > 0 else "inf"
             lines.append(
-                f"layer{layer}_{path_name}: intra={intra!r} inter={inter!r} ratio={ratio:.3f}"
+                f"layer{layer}_{path_name}: intra={_cell(intra)} inter={_cell(inter)} ratio={ratio}"
             )
         summary = "\n".join(lines) + "\n"
-        with open(os.path.join(args.out, "cluster_mass.txt"), "w") as fh:
+        with atomic_open(os.path.join(args.out, "cluster_mass.txt")) as fh:
             fh.write(summary)
         sys.stdout.write(summary)
     return 0
@@ -440,7 +443,7 @@ def _parse_grid(text: str, name: str) -> list[int]:
 def _write_table(path: str, rows: list[dict], columns: list[str]) -> None:
     """Write the result rows as CSV to `path` and print them as a table."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:

@@ -505,9 +505,10 @@ def node_attention(
     q = by_head(h.data @ w_q.data)
     k_t = np.ascontiguousarray(by_head(h.data @ w_k.data).swapaxes(-1, -2))
     scores = (q @ k_t) * scale
-    # `softmax_array(scores, keep)`, exponentiating the kept scores only:
-    # each row keeps exactly `n_keep` columns, in order, and summing the
-    # dense rows keeps that softmax's rounding, so `attn` is bit-identical
+    # a softmax over each row's kept scores, exponentiating those only: each
+    # row keeps exactly `n_keep` columns, in order, and summing the dense rows
+    # rounds as the -1e30-filled softmax of `tests/oracles.py` does, so `attn`
+    # is bit-identical to that reference
     rows, cols = np.nonzero(topn_keep_mask(scores.mean(axis=0), n_keep))
     kept = scores[:, rows, cols].reshape(n_heads, n, n_keep)
     kept -= kept.max(axis=-1, keepdims=True)

@@ -2,17 +2,17 @@
 
 Every array the network touches is a `Tensor`: a C-contiguous float64
 ndarray plus an optional gradient buffer and the links needed to replay
-the forward pass backwards. The op set is exactly what the model needs
-(matmul, softmax, top-n masked softmax, layer norm, the usual elementwise
-activations and reductions). `fused` is the one node constructor: every
-op, and every whole composition the model records as one node, is its
-forward expression plus a `grads(g)` that maps the gradient at the
-result to one gradient per parent, or None for a parent that records
-none. The plain-array kernels the model's compositions use
-(`softmax_array`, `softmax_array_grad`, `sigmoid_array` and the GEMM
-folds `fold_dot`, `fold_wgrad`, `fold_bgrad`) are the ones the single
-ops use. Every differentiable op can be checked against central finite
-differences via `grad_check`.
+the forward pass backwards. The op set is what the model needs (matmul,
+softmax, layer norm, the usual elementwise activations and reductions),
+plus the top-n keep mask of its node attention. `fused` is the one node
+constructor: every op, and every whole composition the model records as
+one node, is its forward expression plus a `grads(g)` that maps the
+gradient at the result to one gradient per parent, or None for a parent
+that records none. The model's compositions share the plain-array
+kernels of the single ops (`softmax_array`, `softmax_array_grad` and the
+GEMM folds `fold_dot`, `fold_wgrad`, `fold_bgrad`); its gate also uses
+`sigmoid_array`. Every differentiable op can be checked against central
+finite differences via `grad_check`.
 
 Graphs are per-result: each Tensor records its parents and a closure
 that routes the incoming gradient, so independent forward passes never
@@ -64,13 +64,11 @@ __all__ = [
     "grad_check",
     "keep_heap_resident",
     "layer_norm",
-    "masked_softmax",
     "matmul",
     "mean",
     "relu",
     "reshape",
     "permute",
-    "sigmoid",
     "sigmoid_array",
     "softmax_array",
     "softmax_array_grad",
@@ -367,12 +365,6 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    data = sigmoid_array(x.data)
-    return fused(data, (x,), lambda g: (g * data * (1.0 - data),))
-
-
 def exp(x: Tensor) -> Tensor:
     x = _wrap(x)
     data = np.exp(x.data)
@@ -388,16 +380,10 @@ def sqrt(x: Tensor) -> Tensor:
 # -- structured ops -----------------------------------------------------------
 
 
-def softmax_array(x: np.ndarray, keep: np.ndarray | None = None, *, axis: int = -1) -> np.ndarray:
+def softmax_array(x: np.ndarray, *, axis: int = -1) -> np.ndarray:
     """Softmax of a plain array along `axis` (default the last), stabilized
-    by max subtraction. With a boolean `keep` mask it runs over the kept
-    entries only: dropped entries reach `exp` as 0, not as a huge negative
-    number, and come out exactly 0."""
-    if keep is None:
-        e = np.exp(x - x.max(axis=axis, keepdims=True))
-    else:
-        top = np.where(keep, x, -np.inf).max(axis=axis, keepdims=True)
-        e = np.exp(np.where(keep, x - top, 0.0)) * keep
+    by max subtraction."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -406,16 +392,13 @@ def softmax_array_grad(p: np.ndarray, g: np.ndarray, *, axis: int = -1) -> np.nd
     return p * (g - (g * p).sum(axis=axis, keepdims=True))
 
 
-def _softmax_node(x: Tensor, data: np.ndarray) -> Tensor:
-    return fused(data, (x,), lambda g: (softmax_array_grad(data, g),))
-
-
 def softmax_lastaxis(x: Tensor) -> Tensor:
     """Softmax along the last axis, stabilized by max subtraction."""
     x = _wrap(x)
     if x.ndim < 1 or x.shape[-1] == 0:
         raise ShapeError(f"softmax needs a non-empty last axis, got shape {x.shape}")
-    return _softmax_node(x, softmax_array(x.data))
+    data = softmax_array(x.data)
+    return fused(data, (x,), lambda g: (softmax_array_grad(data, g),))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -470,27 +453,6 @@ def topn_keep_mask(scores: np.ndarray, n: int) -> np.ndarray:
     tied = scores == kth
     room = n - above.sum(axis=-1, keepdims=True)
     return above | (tied & (np.cumsum(tied, axis=-1, dtype=np.int32) <= room))
-
-
-def masked_softmax(x: Tensor, keep: np.ndarray) -> Tensor:
-    """Softmax along the last axis over the kept entries only.
-
-    `keep` is a constant boolean mask that broadcasts to `x` (an N x N
-    mask serves every head of H x N x N scores); each row must keep at
-    least one entry. Dropped entries get probability exactly 0 and no
-    gradient, and a sparse mask pays for no underflowing exponentials.
-    """
-    x = _wrap(x)
-    keep = np.asarray(keep, dtype=bool)
-    try:
-        fits = x.ndim >= 1 and np.broadcast_shapes(keep.shape, x.shape) == x.shape
-    except ValueError:
-        fits = False
-    if not fits:
-        raise ShapeError(f"mask shape {keep.shape} does not broadcast to input {x.shape}")
-    if not np.atleast_1d(keep).any(axis=-1).all():
-        raise ParameterError("masked_softmax needs at least one kept entry per row")
-    return _softmax_node(x, softmax_array(x.data, keep))
 
 
 # -- reverse pass -------------------------------------------------------------

@@ -1,6 +1,7 @@
 import builtins
 import dataclasses
 import gc
+import os
 import shutil
 import tracemalloc
 from types import SimpleNamespace
@@ -224,35 +225,68 @@ def test_train_emits_artifacts_and_snapshot_records_ablation(tmp_path):
     assert len(log) == 1 + 2  # config line + one record per epoch
 
 
-def test_failed_artifact_writes_leave_the_previous_files(tmp_path, monkeypatch):
+def _file_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_failed_artifact_writes_leave_the_previous_files(tmp_path, monkeypatch, trained_run):
     # a disk that fills up mid-write must not truncate an earlier run's files
     cfg = ModelConfig(n_nodes=4, n_features=3, lookback=5, d_model=8, n_heads=2)
     checkpoint, config = tmp_path / "checkpoint.bin", tmp_path / "config.ini"
     save_checkpoint(str(checkpoint), ModelParams.init(cfg, seed=1))
     write_config_snapshot(load_config(None, []), str(config))
-    before = {p.name: p.read_bytes() for p in (checkpoint, config)}
+    # the table commands' training is not under test here: they tabulate these rows
+    scores = {"IC": 0.1, "A_RET": None, "SHARPE": 1.5}
+    monkeypatch.setattr("dualpath.cli.ablation_suite", lambda *a, **k: [{"label": "full", **scores}])
+    monkeypatch.setattr(
+        "dualpath.cli.sweep", lambda *a, **k: [{"n_layers": 1, "n_heads": 2, "d_model": 8, **scores}]
+    )
+    commands = {
+        "export-attention": ["--run", str(trained_run), "--out", str(tmp_path / "attn")],
+        "ablate": ["--out", str(tmp_path / "abl"), *set_args()],
+        "sweep": ["--out", str(tmp_path / "sweep"), "--layers", "1", "--heads", "2", "--dims", "8", *set_args()],
+    }
+    for command, argv in commands.items():
+        assert run([command, *argv]) == 0
+    before = _file_bytes(tmp_path)
     real_open = builtins.open
 
-    def full_disk_open(file, mode="r", *args, **kwargs):
-        """A file opened for writing takes half of its first write, then fails like a full disk."""
-        fh = real_open(file, mode, *args, **kwargs)
-        if "r" not in mode:
-            real_write = fh.write
+    def full_disk_open(marker=""):
+        """An `open` under which a file named with `marker`, opened for writing,
+        takes half of its first write and then fails like a full disk."""
 
-            def write(data):
-                real_write(data[: len(data) // 2])
-                raise OSError(28, "No space left on device")
+        def open_(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "r" not in mode and marker in os.path.basename(file):
+                real_write = fh.write
 
-            fh.write = write
-        return fh
+                def write(data):
+                    real_write(data[: len(data) // 2])
+                    raise OSError(28, "No space left on device")
+
+                fh.write = write
+            return fh
+
+        return open_
 
     with monkeypatch.context() as m:
-        m.setattr(builtins, "open", full_disk_open)
+        m.setattr(builtins, "open", full_disk_open())
         with pytest.raises(OSError, match="No space"):
             save_checkpoint(str(checkpoint), ModelParams.init(cfg, seed=2))
         with pytest.raises(OSError, match="No space"):
             write_config_snapshot(load_config(None, ["model.d_model=16"]), str(config))
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    # each artifact of a command in turn meets the full disk; the command exits 2
+    for command, marker in [
+        ("export-attention", "layer0_feature.csv"),
+        ("export-attention", "layer0_temporal.svg"),
+        ("export-attention", "cluster_mass.txt"),
+        ("ablate", "ablation.csv"),
+        ("sweep", "sweep.csv"),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(builtins, "open", full_disk_open(marker))
+            assert run([command, *commands[command]]) == 2, marker
+    assert _file_bytes(tmp_path) == before
 
 
 @pytest.mark.parametrize("layers", [1, 2])
@@ -409,6 +443,16 @@ def test_export_attention_specific_day(trained_run, tmp_path):
     ) == 2
 
 
+def test_export_attention_with_one_cluster_writes_n_a_for_the_empty_side(tmp_path):
+    run_dir, out = tmp_path / "run", tmp_path / "attn"
+    assert run(["train", "--out", str(run_dir)] + set_args(["data.clusters=1", "train.epochs=1"])) == 0
+    assert run(["export-attention", "--run", str(run_dir), "--out", str(out)]) == 0
+    lines = (out / "cluster_mass.txt").read_text().splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert " inter=n/a ratio=n/a" in line and "nan" not in line, line
+
+
 # -- ablate / sweep ------------------------------------------------------------------
 
 
@@ -464,3 +508,7 @@ def test_cluster_attention_mass_separates_block_structure():
     )
     intra, inter = cluster_attention_mass(block, labels)
     assert intra == 0.5 and inter == 0.0
+    # a side with no pairs (every cluster one node, or one cluster) has no mean
+    uniform = np.full((3, 3), 1.0 / 3.0)
+    assert cluster_attention_mass(uniform, np.array([0, 1, 2])) == (None, pytest.approx(1.0 / 3.0))
+    assert cluster_attention_mass(uniform, np.array([0, 0, 0])) == (pytest.approx(1.0 / 3.0), None)

@@ -1,6 +1,5 @@
 import itertools
 import math
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +29,8 @@ from dualpath.model import (
     write_named_tensors,
 )
 from dualpath.numerics import NumericError, ParameterError, ShapeError, Tensor
+
+from oracles import argsort_keep_mask, filled_softmax, op_nodes
 
 
 def small_config(**overrides):
@@ -339,31 +340,16 @@ def test_ncorr_multi_head_rows_keep_exact_support():
     assert np.abs(attn.sum(axis=1) - 1.0).max() < 1e-9
 
 
-def _topn_masked_softmax(scores, n_keep):
-    return nm.masked_softmax(scores, nm.topn_keep_mask(scores.data.mean(axis=0), n_keep))
-
-
-def _argsort_filled_softmax(scores, n_keep):
-    # the step ncorr_attention replaced: a stable-argsort top-n mask,
-    # dropped scores filled with -1e30, then a plain softmax
-    n = scores.shape[-1]
-    order = np.argsort(-scores.data.mean(axis=0), axis=-1, kind="stable")
-    keep = np.zeros((n, n), dtype=bool)
-    np.put_along_axis(keep, order[:, :n_keep], True, axis=-1)
-    keep = np.broadcast_to(keep, scores.shape)
-    return nm.softmax_lastaxis(scores * keep + np.where(keep, 0.0, -1e30))
-
-
-def _ncorr_composition(h, z_i, w_q, w_k, w_v, n_keep, n_heads, attend=_topn_masked_softmax):
-    # ncorr_attention as per-op nodes, with `attend(scores, n_keep)` as its
-    # mask-and-softmax step
+def _ncorr_composition(h, z_i, w_q, w_k, w_v, n_keep, n_heads):
+    # ncorr_attention as per-op nodes: one stable-argsort top-n mask from
+    # the head-averaged scores serves every head
     n, f, _ = z_i.shape
     d_g = w_v.shape[1]
     dh = d_g // n_heads
     q = nm.permute(nm.reshape(nm.matmul(h, w_q), (n, n_heads, dh)), (1, 0, 2))
     k = nm.permute(nm.reshape(nm.matmul(h, w_k), (n, n_heads, dh)), (1, 0, 2))
     scores = nm.matmul(q, nm.transpose_last2(k)) * (1.0 / math.sqrt(dh))
-    attn = attend(scores, n_keep)
+    attn = filled_softmax(scores, argsort_keep_mask(scores.data.mean(axis=0), n_keep))
     v = nm.matmul(z_i, w_v)
     v_heads = nm.reshape(nm.permute(nm.reshape(v, (n, f, n_heads, dh)), (2, 0, 1, 3)), (n_heads, n, f * dh))
     ctx = nm.matmul(attn, v_heads)
@@ -382,7 +368,7 @@ def test_ncorr_matches_reference_composition_bitwise_at_market_width(topn_ratio)
     z_data = rng.standard_normal((200, 4, 16))
     w = rng.standard_normal((200, 4, 16))
     results = []
-    for fn in (ncorr_attention, partial(_ncorr_composition, attend=_argsort_filled_softmax)):
+    for fn in (ncorr_attention, _ncorr_composition):
         h, z_i = Tensor(h_data, requires_grad=True), Tensor(z_data, requires_grad=True)
         weights = [Tensor(t.data, requires_grad=True) for t in (lp.qg_temp, lp.kg_temp, lp.vg)]
         out, attn = fn(h, z_i, *weights, cfg.n_keep, cfg.n_heads)
@@ -816,19 +802,6 @@ def test_checkpoint_in_older_tensor_order_loads_and_scores_identically(tmp_path)
 # 1e-15 absolute), and every input and weight passes `grad_check`.
 
 
-def _op_nodes(root):
-    # the walk perfbench/micro.py's `_op_nodes` counts: nodes whose backward runs
-    seen, stack, count = set(), [root], 0
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or not node.requires_grad:
-            continue
-        seen.add(id(node))
-        count += node._backward is not None
-        stack.extend(node._parents)
-    return count
-
-
 def _mha_composition(x_aug, lp, n_heads):
     def split_heads(x):
         n, f, d = x.shape
@@ -860,7 +833,8 @@ def _gate_composition(o_feat, o_temp, ws_f=None, bs_f=None, ws_t=None, bs_t=None
     gated_temp = None if o_temp is None else nm.tanh(nm.matmul(o_temp, ws_t) + bs_t) * o_temp
     if gated_feat is None or gated_temp is None:
         return gated_temp if gated_feat is None else gated_feat
-    mix = nm.sigmoid(nm.matmul(nm.concat([o_feat, o_temp], axis=-1), wm))
+    # the sigmoid mutual gate, written as 0.5 + 0.5 tanh(x / 2)
+    mix = 0.5 + 0.5 * nm.tanh(nm.matmul(nm.concat([o_feat, o_temp], axis=-1), wm) / 2.0)
     return gated_feat * mix + gated_temp * (1.0 - mix)
 
 
@@ -964,7 +938,7 @@ def test_fused_stage_is_one_node_matching_its_composition(case):
     fused, oracle, inputs, _ = _fused_case(case)
     out = fused(*[Tensor(v, requires_grad=True) for v in inputs.values()])
     # ncorr_attention's value map stays a matmul node of its own
-    assert _op_nodes(out) == (2 if case.startswith("ncorr") else 1)
+    assert len(op_nodes(out)) == (2 if case.startswith("ncorr") else 1)
     upstream = np.random.default_rng(61).standard_normal(out.shape)
     got_out, got_grads = _run_seeded(fused, inputs, upstream)
     want_out, want_grads = _run_seeded(oracle, inputs, upstream)
@@ -1015,7 +989,7 @@ def test_desk_day_step_graph_node_count():
     rng = np.random.default_rng(0)
     y_hat, _ = forward(rng.standard_normal((50, 30, 8)), params, cfg)
     loss = total_loss(y_hat, Tensor(rng.standard_normal((50, 1))), LossConfig())
-    assert _op_nodes(loss) == 59
+    assert len(op_nodes(loss)) == 59
 
 
 def test_both_paths_of_a_layer_share_one_value_map_node():

@@ -1,4 +1,7 @@
+import ast
 import math
+import pathlib
+import zlib
 
 import numpy as np
 import pytest
@@ -12,31 +15,53 @@ from dualpath.numerics import (
     grad_check,
 )
 
+from oracles import argsort_keep_mask, filled_softmax, op_nodes
+
 
 def _topn_softmax(x, n):
-    # the top-n masked softmax that ncorr_attention composes
-    return nm.masked_softmax(x, nm.topn_keep_mask(x.data, n))
-
-
-def _argsort_keep_mask(scores, n):
-    # reference: the n largest per row by stable descending argsort
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    keep = np.zeros(scores.shape, dtype=bool)
-    np.put_along_axis(keep, order[..., :n], True, axis=-1)
-    return keep
-
-
-def _reference_masked_softmax(x, keep):
-    # reference: dropped entries filled with -1e30 before a plain softmax;
-    # x * keep + fill passes kept values and their gradient through exactly
-    fill = np.where(keep, 0.0, -1e30)
-    return nm.softmax_lastaxis(x * np.broadcast_to(keep, x.shape) + fill)
+    # a softmax over each row's n largest entries, the mask from topn_keep_mask
+    return filled_softmax(x, nm.topn_keep_mask(x.data, n))
 
 
 @pytest.mark.parametrize("module", [dualpath, nm], ids=["dualpath", "dualpath.numerics"])
 def test_all_names_resolve(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+
+
+def _numerics_references(path):
+    """The `dualpath.numerics` names a module uses: names imported from it,
+    `alias.name` on the module, and in numerics itself any name used outside
+    the top-level definition it names."""
+    tree = ast.parse(path.read_text())
+    own = path.name == "numerics.py"
+    imported, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("numerics"):
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            aliases |= {a.asname or a.name for a in node.names if a.name.endswith("numerics")}
+    found = set()
+
+    def visit(node, defining):
+        if own and defining is None and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defining = node.name
+        if isinstance(node, ast.Name) and (own or node.id in imported) and node.id != defining:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_public_engine_name_has_a_caller():
+    # an op that neither the package nor a shared test oracle calls is dead code
+    modules = [*pathlib.Path(nm.__file__).parent.glob("*.py"), pathlib.Path(__file__).with_name("oracles.py")]
+    used = set().union(*map(_numerics_references, modules))
+    assert sorted(set(nm.__all__) - used) == []
 
 
 def test_tensor_refuses_none():
@@ -205,7 +230,9 @@ def test_topn_full_retention_is_identity():
     x = Tensor(rng.standard_normal((3, 5)))
     keep = nm.topn_keep_mask(x.data, 5)
     assert keep.all()
-    assert np.array_equal(nm.masked_softmax(x, keep).data, nm.softmax_lastaxis(x).data)
+    # so the node attention's bitwise match with the filled softmax at
+    # n_keep = N (tests/test_model.py) is one with the plain softmax
+    assert np.array_equal(filled_softmax(x, keep).data, nm.softmax_lastaxis(x).data)
 
 
 def test_topn_then_softmax_support():
@@ -246,48 +273,13 @@ def test_topn_keep_mask_equals_stable_argsort(scores):
     for n in sorted({1, 2, cols // 3, cols - 1, cols}):
         keep = nm.topn_keep_mask(scores, n)
         assert keep.dtype == bool
-        assert np.array_equal(keep, _argsort_keep_mask(scores, n)), n
+        assert np.array_equal(keep, argsort_keep_mask(scores, n)), n
         assert (keep.sum(axis=-1) == n).all()
-
-
-@pytest.mark.parametrize(
-    "x_shape,keep_shape",
-    [((6, 6), (6, 6)), ((3, 6, 6), (6, 6)), ((3, 6, 6), (3, 6, 6)), ((2, 5), (5,))],
-)
-def test_masked_softmax_equals_filled_softmax_bitwise(x_shape, keep_shape):
-    rng = np.random.default_rng(22)
-    x_data = rng.standard_normal(x_shape) * 4
-    keep = rng.random(keep_shape) < 0.4
-    keep[..., 1] = True  # every row keeps at least one entry
-    x = Tensor(x_data, requires_grad=True)
-    ref_x = Tensor(x_data, requires_grad=True)
-    got = nm.masked_softmax(x, keep)
-    want = _reference_masked_softmax(ref_x, keep)
-    assert np.array_equal(got.data, want.data)
-    assert (got.data[~np.broadcast_to(keep, x_shape)] == 0.0).all()
-    w = rng.standard_normal(x_shape)
-    nm.sum_(got * w).backward()
-    nm.sum_(want * w).backward()
-    assert np.array_equal(x.grad, ref_x.grad)
-
-
-def test_masked_softmax_rejects_mask_of_wrong_shape():
-    x = Tensor(np.zeros((2, 4, 4)))
-    for shape in [(4, 3), (3, 4, 4), (2, 2, 4, 4), (3,)]:
-        with pytest.raises(ShapeError):
-            nm.masked_softmax(x, np.ones(shape, dtype=bool))
-
-
-def test_masked_softmax_rejects_empty_row():
-    keep = np.ones((3, 3), dtype=bool)
-    keep[1] = False
-    with pytest.raises(ParameterError):
-        nm.masked_softmax(Tensor(np.zeros((3, 3))), keep)
 
 
 def test_activation_canonical_points():
     assert nm.tanh(Tensor(0.0)).item() == 0.0
-    assert nm.sigmoid(Tensor(0.0)).item() == 0.5
+    assert nm.sigmoid_array(np.float64(0.0)) == 0.5
     assert nm.relu(Tensor(-1.0)).item() == 0.0
     assert nm.exp(Tensor(0.0)).item() == 1.0
 
@@ -299,7 +291,7 @@ def test_exp_of_tanh_range_bound():
     assert (out <= math.exp(1.0) + 1e-12).all()
 
 
-@pytest.mark.parametrize("fn", [nm.relu, nm.tanh, nm.sigmoid, nm.exp])
+@pytest.mark.parametrize("fn", [nm.relu, nm.tanh, nm.exp])
 def test_activation_gradients_match_fd(fn):
     report = grad_check(lambda t: nm.sum_(fn(t)), Tensor(np.array([0.3])), h=1e-6)
     assert report.max_abs_err < 1e-6
@@ -416,26 +408,13 @@ def test_keep_heap_resident_without_libc_returns_quietly(monkeypatch):
     assert nm.keep_heap_resident() is None
 
 
-def _interior_nodes(root):
-    seen, stack, out = set(), [root], []
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node._backward is not None:
-            out.append(node)
-        stack.extend(node._parents)
-    return out
-
-
 def test_backward_releases_interior_nodes():
     rng = np.random.default_rng(12)
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
     h = nm.tanh(nm.matmul(x, w))
     loss = nm.sum_(h * h)
-    kept = _interior_nodes(loss)
+    kept = op_nodes(loss)
     assert len(kept) >= 4 and h in kept
     loss.backward()
     for node in kept:
@@ -530,8 +509,6 @@ def test_grad_check_rejects_bad_step():
 
 # every differentiable op, as (build, operand shapes); `_op_grads` feeds
 # it positive operands, so sqrt and div stay finite
-_KEEP = np.random.default_rng(23).random((3, 4)) < 0.5
-_KEEP[:, 0] = True
 OPS = {
     "add": (lambda a, b: a + b, [(3, 4), (4,)]),
     "sub": (lambda a, b: a - b, [(3, 4), (3, 1)]),
@@ -547,11 +524,9 @@ OPS = {
     "mean": (lambda a: nm.mean(a, axis=0, keepdims=True), [(3, 4)]),
     "relu": (nm.relu, [(3, 4)]),
     "tanh": (nm.tanh, [(3, 4)]),
-    "sigmoid": (nm.sigmoid, [(3, 4)]),
     "exp": (nm.exp, [(3, 4)]),
     "sqrt": (nm.sqrt, [(3, 4)]),
     "softmax": (nm.softmax_lastaxis, [(3, 4)]),
-    "masked_softmax": (lambda a: nm.masked_softmax(a, _KEEP), [(3, 4)]),
     "layer_norm": (nm.layer_norm, [(3, 4), (4,), (4,)]),
 }
 
@@ -599,7 +574,6 @@ _ACTIVATIONS = np.random.default_rng(25).standard_normal((3, 4, 4))
         ),
         ("relu", lambda t: nm.sum_(nm.relu(t) * t)),
         ("tanh", lambda t: nm.sum_(nm.tanh(t) * t)),
-        ("sigmoid", lambda t: nm.sum_(nm.sigmoid(t) * t)),
         ("exp", lambda t: nm.sum_(nm.exp(t))),
         ("sqrt_of_squares", lambda t: nm.sum_(nm.sqrt(t * t + 1.0))),
         ("div", lambda t: nm.sum_(t / (t * t + 2.0))),
@@ -623,7 +597,8 @@ _ACTIVATIONS = np.random.default_rng(25).standard_normal((3, 4, 4))
 )
 def test_grad_check_every_op(name, f):
     # random 1e0-scale inputs; every differentiable op agrees with FD
-    rng = np.random.default_rng(hash(name) % 2**32)
+    # a fixed seed per case (str hashes are salted per process), so a failure reproduces
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     x = Tensor(rng.standard_normal((4, 4)))
     report = grad_check(f, x)
     assert report.max_rel_err < 1e-5, name
@@ -646,7 +621,7 @@ def test_all_outputs_finite_on_finite_inputs():
         _topn_softmax(x, 2),
         nm.relu(x),
         nm.tanh(x),
-        nm.sigmoid(x),
+        Tensor(nm.sigmoid_array(x.data)),
         nm.exp(x),
     ]
     for out in outs:

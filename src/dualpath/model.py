@@ -97,8 +97,6 @@ class ModelConfig:
             raise ParameterError(f"unknown ablation flags: {sorted(unknown)}")
         if "no_temporal_path" in self.ablation and "no_feature_path" in self.ablation:
             raise ParameterError("cannot remove both correlation paths")
-        if self.n_keep < 1:
-            raise ParameterError("topn_ratio leaves no neighbors to keep")
 
     @property
     def n_keep(self) -> int:
@@ -321,13 +319,6 @@ class ModelParams:
 # -- forward operations ---------------------------------------------------
 
 
-def invert_tokens(x: Tensor) -> Tensor:
-    """Swap the last two axes: time-step rows become feature-series tokens."""
-    if x.ndim != 3:
-        raise ShapeError(f"invert_tokens expects a 3-d tensor, got shape {x.shape}")
-    return transpose_last2(x)
-
-
 def importance_weights(x_inv: Tensor, lp: SimpleNamespace) -> tuple[Tensor, Tensor]:
     """Score each feature token, softmax per node, splice weight onto token.
 
@@ -382,17 +373,17 @@ def temporal_self_attention(x_aug: Tensor, lp: SimpleNamespace, n_heads: int) ->
 
 
 def _ffd(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Token-wise feedforward relu(x w1 + b1) w2 + b2, as one graph node."""
+    """Token-wise feedforward with its residual, x + (relu(x w1 + b1) w2 + b2), as one graph node."""
     pre = fold_dot(x.data, w1.data) + b1.data
     hidden = np.maximum(pre, 0.0)
 
     def grads(g):
         # relu's subgradient at 0 taken as 0
         g_pre = fold_dot(g, w2.data.T) * (pre > 0.0)
-        g_x = fold_dot(g_pre, w1.data.T) if x.requires_grad else None
+        g_x = g + fold_dot(g_pre, w1.data.T) if x.requires_grad else None
         return g_x, fold_wgrad(x.data, g_pre), fold_bgrad(g_pre), fold_wgrad(hidden, g), fold_bgrad(g)
 
-    return nm.fused(fold_dot(hidden, w2.data) + b2.data, (x, w1, b1, w2, b2), grads)
+    return nm.fused(x.data + (fold_dot(hidden, w2.data) + b2.data), (x, w1, b1, w2, b2), grads)
 
 
 def encode_temporal(x: Tensor, lp: SimpleNamespace, config: ModelConfig, layer_index: int) -> Tensor:
@@ -401,16 +392,16 @@ def encode_temporal(x: Tensor, lp: SimpleNamespace, config: ModelConfig, layer_i
     With no_itblock the whole block collapses to a per-token affine
     projection, so the output is linear in the input.
     """
-    tokens = invert_tokens(x) if layer_index == 0 else x
-    if "no_itblock" in config.ablation:
-        return matmul(tokens, lp.res_w) + lp.res_b
+    # layer 0 swaps the time-step rows into feature-series tokens
+    tokens = transpose_last2(x) if layer_index == 0 else x
     if layer_index == 0 and config.importance_active:
         _, tokens = importance_weights(tokens, lp)
-    attended = temporal_self_attention(tokens, lp, config.n_heads)
     residual = matmul(tokens, lp.res_w) + lp.res_b
+    if "no_itblock" in config.ablation:
+        return residual
+    attended = temporal_self_attention(tokens, lp, config.n_heads)
     x_hat = layer_norm(attended + residual, lp.ln1_g, lp.ln1_b)
-    ff = _ffd(x_hat, lp.ffd1_w1, lp.ffd1_b1, lp.ffd1_w2, lp.ffd1_b2)
-    return layer_norm(x_hat + ff, lp.ln2_g, lp.ln2_b)
+    return layer_norm(_ffd(x_hat, lp.ffd1_w1, lp.ffd1_b1, lp.ffd1_w2, lp.ffd1_b2), lp.ln2_g, lp.ln2_b)
 
 
 def _summary(z_i: Tensor, w_a: Tensor, w_b: Tensor, axis: int) -> Tensor:
@@ -644,8 +635,7 @@ def forward(x, params: ModelParams, config: ModelConfig) -> tuple[Tensor, Attent
         maps.temporal.append(a_temp)
         merged = dp_gate(o_feat, o_temp, lp, config.ablation)
         dpa_out = layer_norm(z_i + merged, lp.ln_dpa_g, lp.ln_dpa_b)
-        ff = _ffd(dpa_out, lp.ffd2_w1, lp.ffd2_b1, lp.ffd2_w2, lp.ffd2_b2)
-        h = layer_norm(dpa_out + ff, lp.ln3_g, lp.ln3_b)
+        h = layer_norm(_ffd(dpa_out, lp.ffd2_w1, lp.ffd2_b1, lp.ffd2_w2, lp.ffd2_b2), lp.ln3_g, lp.ln3_b)
 
     y_hat, _, _ = decode(h, params.decoder)
     return y_hat, maps

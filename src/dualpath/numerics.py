@@ -36,8 +36,9 @@ every time, and glibc's default trims the freed top of the heap back to
 the system after each backward, so the next step faults all those pages
 in again (about 3,000 per reference-scale step). `keep_heap_resident`
 raises the trim and mmap thresholds so the freed graph stays mapped for
-reuse; `train.train_model` calls it, and nothing does at import, so a
-process that only scores keeps glibc's defaults and their smaller peak.
+reuse. `train.train_model` and `cli.cmd_backtest` call it; nothing does
+at import, so other commands (`export-attention`) and library callers
+that only score keep glibc's defaults and their smaller peak.
 """
 
 from __future__ import annotations
@@ -181,12 +182,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return _div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return _div(_wrap(other), self)
-
-    def __neg__(self):
-        return fused(-self.data, (self,), lambda g: (-g,))
 
 
 def _wrap(value) -> Tensor:

@@ -18,7 +18,7 @@ from .data import WindowSample
 from .loss import LossConfig, total_loss
 from .metrics import BacktestReport, DailyScores, information_coefficient, run_backtest
 from .model import ABLATION_FLAGS, ModelConfig, ModelParams, forward
-from .numerics import GradCheckReport, NumericError, ParameterError, Tensor, grad_check, keep_heap_resident
+from .numerics import NumericError, ParameterError, Tensor, keep_heap_resident
 
 
 @dataclass(frozen=True)
@@ -298,44 +298,3 @@ def sweep(
     ]
     return _train_and_test(splits, runs, train_cfg, loss_cfg, top_frac)
 
-
-def model_grad_check(
-    config: ModelConfig,
-    params: ModelParams,
-    x: np.ndarray,
-    y: np.ndarray,
-    loss_cfg: LossConfig = LossConfig(),
-    h: float = 1e-5,
-    include_input: bool = True,
-) -> GradCheckReport:
-    """Check d(loss)/d(theta) for every parameter tensor (and the input)
-    against central finite differences, aggregating the worst errors."""
-    base = {name: Tensor(t.data) for name, t in params.named().items()}
-    x_const = Tensor(x)
-    y_const = Tensor(y)
-
-    def loss_at(x_t: Tensor, named: dict[str, Tensor]) -> Tensor:
-        p = ModelParams.from_named(config, named)
-        y_hat, _ = forward(x_t, p, config)
-        return total_loss(y_hat, y_const, loss_cfg)
-
-    worst_abs = 0.0
-    worst_rel = 0.0
-    count = 0
-    for name in base:
-        def f(t: Tensor, _name=name) -> Tensor:
-            named = dict(base)
-            named[_name] = t
-            return loss_at(x_const, named)
-
-        rep = grad_check(f, base[name], h)
-        worst_abs = max(worst_abs, rep.max_abs_err)
-        worst_rel = max(worst_rel, rep.max_rel_err)
-        count += rep.param_count
-
-    if include_input:
-        rep = grad_check(lambda t: loss_at(t, dict(base)), x_const, h)
-        worst_abs = max(worst_abs, rep.max_abs_err)
-        worst_rel = max(worst_rel, rep.max_rel_err)
-        count += rep.param_count
-    return GradCheckReport(max_abs_err=worst_abs, max_rel_err=worst_rel, param_count=count)

@@ -2,12 +2,16 @@
 
 `filled_softmax` over an `argsort_keep_mask` is the top-n softmax of the
 node attention written the plain way; `op_nodes` lists the graph nodes
-a backward pass runs.
+a backward pass runs; `model_grad_check` checks the whole model's
+gradients against central finite differences.
 """
 
 import numpy as np
 
 from dualpath import numerics as nm
+from dualpath.loss import LossConfig, total_loss
+from dualpath.model import ModelConfig, ModelParams, forward
+from dualpath.numerics import GradCheckReport, Tensor, grad_check
 
 
 def argsort_keep_mask(scores, n):
@@ -41,3 +45,45 @@ def op_nodes(root):
             out.append(node)
         stack.extend(node._parents)
     return out
+
+
+def model_grad_check(
+    config: ModelConfig,
+    params: ModelParams,
+    x: np.ndarray,
+    y: np.ndarray,
+    loss_cfg: LossConfig = LossConfig(),
+    h: float = 1e-5,
+    include_input: bool = True,
+) -> GradCheckReport:
+    """Check d(loss)/d(theta) for every parameter tensor (and the input)
+    against central finite differences, aggregating the worst errors."""
+    base = {name: Tensor(t.data) for name, t in params.named().items()}
+    x_const = Tensor(x)
+    y_const = Tensor(y)
+
+    def loss_at(x_t: Tensor, named: dict[str, Tensor]) -> Tensor:
+        p = ModelParams.from_named(config, named)
+        y_hat, _ = forward(x_t, p, config)
+        return total_loss(y_hat, y_const, loss_cfg)
+
+    worst_abs = 0.0
+    worst_rel = 0.0
+    count = 0
+    for name in base:
+        def f(t: Tensor, _name=name) -> Tensor:
+            named = dict(base)
+            named[_name] = t
+            return loss_at(x_const, named)
+
+        rep = grad_check(f, base[name], h)
+        worst_abs = max(worst_abs, rep.max_abs_err)
+        worst_rel = max(worst_rel, rep.max_rel_err)
+        count += rep.param_count
+
+    if include_input:
+        rep = grad_check(lambda t: loss_at(t, dict(base)), x_const, h)
+        worst_abs = max(worst_abs, rep.max_abs_err)
+        worst_rel = max(worst_rel, rep.max_rel_err)
+        count += rep.param_count
+    return GradCheckReport(max_abs_err=worst_abs, max_rel_err=worst_rel, param_count=count)

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import os
 import shutil
+import struct
 import tracemalloc
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from dualpath.cli import (
 )
 from dualpath.loss import LossConfig
 from dualpath.model import ModelConfig, ModelParams, save_checkpoint
+from dualpath.numerics import Tensor
 from dualpath.train import TrainConfig
 
 FAST_OVERRIDES = [
@@ -321,6 +323,57 @@ def test_train_rejects_split_fractions_not_summing_to_one(tmp_path, capsys):
     assert err.startswith("config error:") and "sum to 1" in err
 
 
+def _config_error_case(name, tmp_path, trained_run):
+    """(argv, message) of one documented configuration error."""
+    out = ["--out", str(tmp_path / "out")]
+    if name == "unreadable_config":
+        path = tmp_path / "missing.ini"
+        return ["train", "--config", str(path), *out], f"cannot read config file {path}"
+    if name == "csv_source_without_path":
+        return ["train", *out, *set_args(["data.source=csv"])], "[data] source=csv requires a csv path"
+    if name == "unknown_source":
+        return (["train", *out, *set_args(["data.source=parquet"])],
+                "[data] source must be 'synthetic' or 'csv', got 'parquet'")
+    if name == "ablate_from_an_ablation":
+        return (["ablate", *out, *set_args(["model.ablation=no_dpgate"])],
+                "ablate starts from the full model; clear [model] ablation")
+    if name == "empty_sweep_grid":
+        return ["sweep", *out, "--layers", ",", *set_args()], "--layers must name at least one value"
+    if name == "no_training_window":
+        # 80 days: 64 validation, 12 test, and 4 training days, fewer than the lookback of 8
+        return (["train", *out, *set_args(["data.train_frac=0.05", "data.val_frac=0.8"])],
+                "training split is empty; increase days or train_frac")
+    # backtest_without_test_days: the trained run, re-split with no test days
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    cfg = load_config(str(run_dir / "config.ini"), ["data.val_frac=0.3", "data.test_frac=0"])
+    write_config_snapshot(cfg, str(run_dir / "config.ini"))
+    return ["backtest", "--run", str(run_dir), *out], "test split is empty; nothing to backtest"
+
+
+CONFIG_ERRORS = [
+    "unreadable_config", "csv_source_without_path", "unknown_source", "ablate_from_an_ablation",
+    "empty_sweep_grid", "no_training_window", "backtest_without_test_days",
+]
+
+
+@pytest.mark.parametrize("name", CONFIG_ERRORS)
+def test_documented_config_error_exits_2(tmp_path, capsys, trained_run, name):
+    argv, message = _config_error_case(name, tmp_path, trained_run)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_non_finite_training_loss_exits_3(tmp_path, monkeypatch, capsys):
+    # a real overflow would raise a RuntimeWarning, an error under this suite's settings
+    monkeypatch.setattr("dualpath.train.total_loss", lambda *args: Tensor(np.nan))
+    assert run(["train", "--out", str(tmp_path / "run")] + set_args()) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: non-finite loss at epoch 0, step 0, day ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_rejects_unknown_config_key(tmp_path):
     code = run(["train", "--out", str(tmp_path / "run")] + ["--set", "model.widht=8"])
     assert code == 2
@@ -401,12 +454,29 @@ def test_backtest_missing_run_dir(tmp_path):
     assert run(["backtest", "--run", str(tmp_path / "nope")]) == 2
 
 
-def test_backtest_truncated_checkpoint_exits_2(trained_run, tmp_path):
+def _with_byte(raw, at, value):
+    return raw[:at] + bytes([value]) + raw[at + 1 :]
+
+
+# a checkpoint's header is magic (8 bytes), version, count (u32 each), then the
+# first tensor's u16 name length, its name and its dtype tag
+CHECKPOINT_DAMAGE = {
+    "truncated": (lambda raw: raw[:-100], "checkpoint truncated at byte"),
+    "version": (lambda raw: raw[:8] + struct.pack("<I", 2) + raw[12:], "unsupported checkpoint version 2"),
+    "dtype_tag": (lambda raw: _with_byte(raw, 18 + struct.unpack_from("<H", raw, 16)[0], 2), "unknown dtype tag 2"),
+    "non_utf8_name": (lambda raw: _with_byte(raw, 18, 0xFF), "tensor 0 name is not utf-8"),
+}
+
+
+@pytest.mark.parametrize("damage, message", CHECKPOINT_DAMAGE.values(), ids=CHECKPOINT_DAMAGE.keys())
+def test_backtest_truncated_checkpoint_exits_2(trained_run, tmp_path, capsys, damage, message):
     run_dir = tmp_path / "run"
     shutil.copytree(trained_run, run_dir)
     ckpt = run_dir / "checkpoint.bin"
-    ckpt.write_bytes(ckpt.read_bytes()[:-100])
+    ckpt.write_bytes(damage(ckpt.read_bytes()))
     assert run(["backtest", "--run", str(run_dir), "--out", str(tmp_path / "bt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
 
 
 def test_backtest_malformed_run_config_exits_2(trained_run, tmp_path, capsys):
@@ -451,6 +521,16 @@ def test_export_attention_with_one_cluster_writes_n_a_for_the_empty_side(tmp_pat
     assert len(lines) == 2
     for line in lines:
         assert " inter=n/a ratio=n/a" in line and "nan" not in line, line
+
+
+def test_export_attention_under_a_one_path_ablation_writes_that_path_only(tmp_path):
+    run_dir, out = tmp_path / "run", tmp_path / "attn"
+    extra = ["model.ablation=no_temporal_path", "train.epochs=1"]
+    assert run(["train", "--out", str(run_dir)] + set_args(extra)) == 0
+    assert run(["export-attention", "--run", str(run_dir), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["cluster_mass.txt", "layer0_feature.csv", "layer0_feature.svg"]
+    lines = (out / "cluster_mass.txt").read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("layer0_feature: ")
 
 
 # -- ablate / sweep ------------------------------------------------------------------

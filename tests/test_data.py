@@ -541,6 +541,17 @@ def test_make_windows_multi_horizon_compounds():
     assert np.allclose(s.y, expected.T)
 
 
+@pytest.mark.parametrize("horizon, skipped", [(1, [10]), (2, [9, 10])])
+def test_make_windows_skips_anchors_whose_horizon_meets_a_missing_target(tmp_path, horizon, skipped):
+    # node bb's target cell is empty on day 10 of 20 only
+    p = tmp_path / "panel.csv"
+    write_csv(p, [f"{d},{n},{d},1.0,{'' if (d, n) == (10, 'bb') else 0.01}" for d in range(20) for n in ("aa", "bb")])
+    ds = load_panel_csv(str(p))
+    assert np.isnan(ds.targets[10, 1]) and np.isfinite(ds.targets).sum() == 2 * 20 - 1
+    train, _, _ = make_windows(ds, 3, horizon, SplitSpec(1.0, 0.0, 0.0))
+    assert [s.day_index for s in train] == [d for d in range(2, 20 - horizon) if d not in skipped]
+
+
 def test_make_windows_insufficient_days():
     ds = synth_market(n_nodes=3, n_days=10, n_clusters=1, seed=11)
     with pytest.raises(ParameterError):

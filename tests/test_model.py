@@ -19,7 +19,6 @@ from dualpath.model import (
     encode_temporal,
     forward,
     importance_weights,
-    invert_tokens,
     load_checkpoint,
     ncorr_attention,
     parameter_layout,
@@ -74,34 +73,29 @@ def test_config_rejects_bad_topn_ratio():
         small_config(topn_ratio=1.5)
 
 
-# -- invert_tokens -----------------------------------------------------------
+# -- token inversion (transpose_last2 on the N x T x F panel) -----------------
 
 
 def test_invert_tokens_hand_case():
     x = Tensor([[[1.0, 2.0], [3.0, 4.0]]])  # 1 x 2 x 2: rows are time steps
-    out = invert_tokens(x)
+    out = nm.transpose_last2(x)
     assert out.data.tolist() == [[[1.0, 3.0], [2.0, 4.0]]]
 
 
 def test_invert_tokens_involution_bitwise():
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((3, 4, 5)))
-    assert np.array_equal(invert_tokens(invert_tokens(x)).data, x.data)
+    assert np.array_equal(nm.transpose_last2(nm.transpose_last2(x)).data, x.data)
 
 
 def test_invert_tokens_index_oracle():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((3, 4, 5))
-    out = invert_tokens(Tensor(x)).data
+    out = nm.transpose_last2(Tensor(x)).data
     for n in range(3):
         for t in range(4):
             for f in range(5):
                 assert out[n, f, t] == x[n, t, f]
-
-
-def test_invert_tokens_rejects_wrong_rank():
-    with pytest.raises(ShapeError):
-        invert_tokens(Tensor(np.zeros((3, 4))))
 
 
 # -- importance weights -------------------------------------------------------
@@ -594,6 +588,9 @@ def test_forward_rejects_wrong_shape():
     params = ModelParams.init(cfg, seed=29)
     with pytest.raises(ShapeError):
         forward(np.zeros((4, 6, 4)), params, cfg)
+    # a panel of the wrong rank never reaches the token inversion
+    with pytest.raises(ShapeError):
+        forward(np.zeros((4, 6)), params, cfg)
 
 
 def test_forward_thread_safe_with_shared_params():
@@ -820,7 +817,7 @@ def _mha_composition(x_aug, lp, n_heads):
 
 
 def _ffd_composition(x, w1, b1, w2, b2):
-    return nm.matmul(nm.relu(nm.matmul(x, w1) + b1), w2) + b2
+    return x + (nm.matmul(nm.relu(nm.matmul(x, w1) + b1), w2) + b2)
 
 
 def _summary_composition(a, b, w_q, w_k):
@@ -989,7 +986,7 @@ def test_desk_day_step_graph_node_count():
     rng = np.random.default_rng(0)
     y_hat, _ = forward(rng.standard_normal((50, 30, 8)), params, cfg)
     loss = total_loss(y_hat, Tensor(rng.standard_normal((50, 1))), LossConfig())
-    assert len(op_nodes(loss)) == 59
+    assert len(op_nodes(loss)) == 57
 
 
 def test_both_paths_of_a_layer_share_one_value_map_node():

@@ -21,12 +21,13 @@ from dualpath.train import (
     TrainConfig,
     ablation_suite,
     evaluate,
-    model_grad_check,
     predict,
     predict_scores,
     sweep,
     train_model,
 )
+
+from oracles import model_grad_check
 
 
 def tiny_pipeline(n_nodes=10, n_days=120, seed=0, **model_overrides):

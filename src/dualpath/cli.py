@@ -18,6 +18,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import math
 import os
 import sys
 import typing
@@ -138,9 +139,12 @@ def _parse(cfg: dict[str, dict[str, str]], section: str, key: str, kind):
         kind = int
     noun = {int: "an integer", float: "a number"}[kind]
     try:
-        return kind(value)
+        parsed = kind(value)
     except ValueError:
         raise ConfigError(f"[{section}] {key}={value!r} is not {noun}") from None
+    if kind is float and not math.isfinite(parsed):
+        raise ConfigError(f"[{section}] {key}={value!r} is not finite")
+    return parsed
 
 
 def build_dataset(cfg: dict[str, dict[str, str]]) -> PanelDataset:

@@ -74,7 +74,7 @@ class WindowSample:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Chronological train/val/test day budget, as day counts or as fractions summing to 1."""
+    """Chronological train/val/test day budget, as fractions summing to 1."""
 
     train: float = 0.7
     val: float = 0.15
@@ -82,12 +82,6 @@ class SplitSpec:
 
     def resolve(self, n_days: int) -> tuple[int, int, int]:
         parts = (self.train, self.val, self.test)
-        if all(isinstance(p, int) for p in parts):
-            if sum(parts) != n_days:
-                raise ParameterError(f"split day counts {parts} do not sum to {n_days}")
-            if any(p < 0 for p in parts):
-                raise ParameterError(f"split day counts must be non-negative: {parts}")
-            return parts  # type: ignore[return-value]
         if any(p < 0 for p in parts) or abs(sum(parts) - 1.0) > 1e-9:
             raise ParameterError(f"split fractions {parts} must be non-negative and sum to 1")
         n_val = int(math.floor(self.val * n_days))
@@ -98,6 +92,10 @@ class SplitSpec:
 
 # Key columns of the panel CSV layout; every other column is a feature.
 DATE_COL, NODE_COL, TARGET_COL = "date", "node_id", "target"
+
+# A node missing more than this share of the days is dropped; a gap of more
+# than this many days in a row is rejected rather than forward-filled.
+MAX_MISSING_FRAC, FFILL_LIMIT = 0.1, 3
 
 # The block reader reads a file this many bytes at a time, cut back to whole lines.
 CSV_BLOCK_BYTES = 1 << 16
@@ -118,12 +116,12 @@ class _Rows(NamedTuple):
     values: np.ndarray  # (rows, features + 1): each row's feature cells, then its target cell
 
 
-def load_panel_csv(path: str, *, ffill_limit: int = 3, max_missing_frac: float = 0.1) -> PanelDataset:
+def load_panel_csv(path: str) -> PanelDataset:
     """Read a long-format CSV into a dense, gap-free panel.
 
     Rows may arrive in any order. Nodes missing more than
-    `max_missing_frac` of days are dropped with a warning; remaining
-    gaps are forward-filled up to `ffill_limit` consecutive days and
+    `MAX_MISSING_FRAC` of days are dropped with a warning; remaining
+    gaps are forward-filled up to `FFILL_LIMIT` consecutive days and
     anything worse is rejected. Targets are never filled: a missing
     target stays NaN and the day is simply not used as a window anchor.
 
@@ -164,7 +162,7 @@ def load_panel_csv(path: str, *, ffill_limit: int = 3, max_missing_frac: float =
 
     # drop nodes with too many gapped days before trying to fill anything
     missing_days = np.isnan(features).any(axis=2).sum(axis=0)
-    keep = missing_days <= max_missing_frac * len(dates)
+    keep = missing_days <= MAX_MISSING_FRAC * len(dates)
     dropped = [n for n, ok in zip(nodes, keep) if not ok]
     if dropped:
         warnings.warn(f"excluding nodes with too many missing days: {dropped}", stacklevel=2)
@@ -174,7 +172,7 @@ def load_panel_csv(path: str, *, ffill_limit: int = 3, max_missing_frac: float =
     if not nodes:
         raise ParameterError(f"{path}: every node exceeded the missing-day threshold")
 
-    _forward_fill(features, dates, nodes, ffill_limit, path)
+    _forward_fill(features, dates, nodes, path)
     return PanelDataset(
         dates=dates,
         node_ids=nodes,
@@ -369,8 +367,8 @@ def _date_key(date: str):
         return (1, 0, date)
 
 
-def _forward_fill(features: np.ndarray, dates, nodes, limit: int, path: str) -> None:
-    """Fill feature gaps from the previous day, bounded by `limit` in a row."""
+def _forward_fill(features: np.ndarray, dates, nodes, path: str) -> None:
+    """Fill feature gaps from the previous day, at most `FFILL_LIMIT` in a row."""
     gap = np.isnan(features)
     if not gap.any():
         return
@@ -378,10 +376,10 @@ def _forward_fill(features: np.ndarray, dates, nodes, limit: int, path: str) -> 
     for d in range(features.shape[0]):
         day_gap = gap[d]
         run = np.where(day_gap, run + 1, 0)
-        if (run > limit).any():
-            n, f = np.argwhere(run > limit)[0]
+        if (run > FFILL_LIMIT).any():
+            n, f = np.argwhere(run > FFILL_LIMIT)[0]
             raise ParameterError(
-                f"{path}: node {nodes[n]} feature #{f} gapped more than {limit} days ending {dates[d]}"
+                f"{path}: node {nodes[n]} feature #{f} gapped more than {FFILL_LIMIT} days ending {dates[d]}"
             )
         if d == 0 and day_gap.any():
             n, f = np.argwhere(day_gap)[0]
@@ -510,23 +508,15 @@ def synth_market(
     n_features: int = 8,
     n_clusters: int = 5,
     seed: int = 0,
-    factor_persistence: float = 0.7,
-    market_beta: float = 0.0,
-    idio_sigma: float = 1.5,
-    proxy_sigma: float = 2.0,
-    style_sigma: float = 0.3,
-    style_alpha: float = 0.25,
-    daily_scale: float = 1.0,
 ) -> PanelDataset:
     """Synthetic stock panel with planted cluster structure.
 
     Each cluster follows its own AR(1) latent factor; a node's return is
     loading * cluster factor + a small persistent style alpha +
-    idiosyncratic noise (plus an optional common market term). Features
-    are lagged returns, rolling statistics and two noisy per-node
-    proxies: one of the fast return factor and one of the slow
-    per-cluster style level. The proxies are deliberately weak one node
-    at a time, so the factor state is only readable by pooling a
+    idiosyncratic noise. Features are lagged returns, rolling statistics
+    and two noisy per-node proxies: one of the fast return factor and one
+    of the slow per-cluster style level. The proxies are deliberately weak
+    one node at a time, so the factor state is only readable by pooling a
     cluster's cross-section while the style level identifies who
     belongs together; that makes the correlation learnable and the
     cluster assignment recoverable from attention patterns. Returns are
@@ -539,29 +529,26 @@ def synth_market(
         raise ParameterError(f"n_clusters {n_clusters} exceeds n_nodes {n_nodes}")
     if min(n_nodes, n_days, n_features, n_clusters) < 1:
         raise ParameterError("all generator extents must be positive")
+    # factor AR(1) persistence, and the scales of the style alpha, the
+    # idiosyncratic noise and the noise on the factor and style proxies
+    phi, style_alpha, idio_sigma, proxy_sigma, style_sigma = 0.7, 0.25, 1.5, 2.0, 0.3
+    innov = math.sqrt(1.0 - phi * phi)
     rng = np.random.default_rng(seed)
-    phi = factor_persistence
-    innov = math.sqrt(max(1.0 - phi * phi, 0.0))
 
     cluster = (np.arange(n_nodes) * n_clusters) // n_nodes
     loadings = rng.uniform(0.7, 1.3, n_nodes)
     styles = rng.permutation(np.linspace(-1.5, 1.5, n_clusters))
 
+    # each day's last shock is one that no return uses; it is still drawn,
+    # so that every seed keeps the panel it has always given
+    shocks = rng.standard_normal((n_days, n_clusters + 1))
     factors = np.empty((n_days, n_clusters))
-    factors[0] = rng.standard_normal(n_clusters)
-    market = np.empty(n_days)
-    market[0] = rng.standard_normal()
+    factors[0] = shocks[0, :n_clusters]
     for d in range(1, n_days):
-        factors[d] = phi * factors[d - 1] + innov * rng.standard_normal(n_clusters)
-        market[d] = phi * market[d - 1] + innov * rng.standard_normal()
+        factors[d] = phi * factors[d - 1] + innov * shocks[d, :n_clusters]
 
     idio = rng.standard_normal((n_days, n_nodes))
-    returns = daily_scale * (
-        market_beta * market[:, None]
-        + loadings[None, :] * factors[:, cluster]
-        + style_alpha * styles[cluster][None, :]
-        + idio_sigma * idio
-    )
+    returns = loadings * factors[:, cluster] + style_alpha * styles[cluster] + idio_sigma * idio
 
     factor_noise = rng.standard_normal((n_days, n_nodes))
     style_noise = rng.standard_normal((n_days, n_nodes))

@@ -113,7 +113,7 @@ def max_drawdown(returns: np.ndarray) -> float:
     return float((peaks - cum).max())
 
 
-def aggregate_metrics(returns, trading_days_per_year: int = TRADING_DAYS_PER_YEAR) -> BacktestReport:
+def aggregate_metrics(returns) -> BacktestReport:
     """Fold a daily portfolio-return series into the nine-metric report.
 
     Volatility uses the population standard deviation. Calmar is the
@@ -127,7 +127,7 @@ def aggregate_metrics(returns, trading_days_per_year: int = TRADING_DAYS_PER_YEA
     if not np.isfinite(r).all():
         raise NumericError("daily returns contain non-finite values")
     n_days = r.shape[0]
-    annual = float(trading_days_per_year)
+    annual = float(TRADING_DAYS_PER_YEAR)
 
     pnl = float(r.sum())
     ar = annual / n_days * pnl

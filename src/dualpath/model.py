@@ -501,6 +501,8 @@ def node_attention(
     # rounds as the -1e30-filled softmax of `tests/oracles.py` does, so `attn`
     # is bit-identical to that reference
     rows, cols = np.nonzero(topn_keep_mask(scores.mean(axis=0), n_keep))
+    if len(rows) != n * n_keep:  # a row keeps fewer only where its scores hold a NaN
+        raise NumericError(f"node attention scores are not finite: {len(rows)} of {n * n_keep} kept")
     kept = scores[:, rows, cols].reshape(n_heads, n, n_keep)
     kept -= kept.max(axis=-1, keepdims=True)
     np.exp(kept, out=kept)

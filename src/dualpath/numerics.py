@@ -165,20 +165,11 @@ class Tensor:
     def __add__(self, other):
         return _add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return _add(_wrap(other), self)
-
     def __sub__(self, other):
         return _sub(self, _wrap(other))
 
-    def __rsub__(self, other):
-        return _sub(_wrap(other), self)
-
     def __mul__(self, other):
         return _mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return _mul(_wrap(other), self)
 
     def __truediv__(self, other):
         return _div(self, _wrap(other))
@@ -327,8 +318,8 @@ def _spread(g: np.ndarray, x: Tensor, axis, keepdims: bool) -> np.ndarray:
     return np.broadcast_to(g, x.shape).copy()
 
 
-def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return fused(x.data.sum(axis=axis, keepdims=keepdims), (x,), lambda g: (_spread(g, x, axis, keepdims),))
+def sum_(x: Tensor, axis=None) -> Tensor:
+    return fused(x.data.sum(axis=axis), (x,), lambda g: (_spread(g, x, axis, False),))
 
 
 def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -396,11 +387,9 @@ def softmax_lastaxis(x: Tensor) -> Tensor:
     return fused(data, (x,), lambda g: (softmax_array_grad(data, g),))
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (eps 1e-5), then affine."""
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
-    if eps <= 0:
-        raise ParameterError(f"layer_norm eps must be positive, got {eps}")
     width = x.shape[-1]
     if gamma.shape != (width,) or beta.shape != (width,):
         raise ShapeError(
@@ -410,7 +399,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xc = x.data - mu
     sq = xc * xc
     var = sq.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = np.multiply(xc, inv, out=xc)
     data = np.multiply(gamma.data, xhat, out=sq)  # gamma * xhat + beta, in the squares' buffer
     data += beta.data

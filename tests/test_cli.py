@@ -22,9 +22,9 @@ from dualpath.cli import (
     write_config_snapshot,
 )
 from dualpath.loss import LossConfig
-from dualpath.model import ModelConfig, ModelParams, save_checkpoint
+from dualpath.model import ModelConfig, ModelParams, read_named_tensors, save_checkpoint, write_named_tensors
 from dualpath.numerics import Tensor
-from dualpath.train import TrainConfig
+from dualpath.train import Adam, TrainConfig
 
 FAST_OVERRIDES = [
     "data.nodes=8",
@@ -339,6 +339,9 @@ def _config_error_case(name, tmp_path, trained_run):
                 "ablate starts from the full model; clear [model] ablation")
     if name == "empty_sweep_grid":
         return ["sweep", *out, "--layers", ",", *set_args()], "--layers must name at least one value"
+    if name in NON_FINITE_SETTINGS:
+        section, key = NON_FINITE_SETTINGS[name].split(".")
+        return ["train", *out, *set_args([f"{section}.{key}=nan"])], f"[{section}] {key}='nan' is not finite"
     if name == "no_training_window":
         # 80 days: 64 validation, 12 test, and 4 training days, fewer than the lookback of 8
         return (["train", *out, *set_args(["data.train_frac=0.05", "data.val_frac=0.8"])],
@@ -351,9 +354,17 @@ def _config_error_case(name, tmp_path, trained_run):
     return ["backtest", "--run", str(run_dir), *out], "test split is empty; nothing to backtest"
 
 
+# a NaN setting that ended in a traceback (val_frac, adam_eps) or was used
+# silently: a NaN train_frac trained on 0.7, a NaN loss eps dropped the Pearson term
+NON_FINITE_SETTINGS = {
+    "nan_train_frac": "data.train_frac",
+    "nan_val_frac": "data.val_frac",
+    "nan_adam_eps": "train.adam_eps",
+    "nan_loss_eps": "loss.eps",
+}
 CONFIG_ERRORS = [
     "unreadable_config", "csv_source_without_path", "unknown_source", "ablate_from_an_ablation",
-    "empty_sweep_grid", "no_training_window", "backtest_without_test_days",
+    "empty_sweep_grid", "no_training_window", "backtest_without_test_days", *NON_FINITE_SETTINGS,
 ]
 
 
@@ -371,6 +382,22 @@ def test_non_finite_training_loss_exits_3(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: non-finite loss at epoch 0, step 0, day ")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_nan_attention_scores_in_training_exit_3(tmp_path, monkeypatch, capsys):
+    # a NaN weight, as an overflowing update leaves one, makes every temporal
+    # path score NaN on the next day-step; NaN arithmetic raises no warning
+    step = Adam.step
+
+    def step_then_spoil(self):
+        step(self)
+        self.params.named()["enc0.qg_temp"].data[0, 0] = np.nan
+
+    monkeypatch.setattr("dualpath.train.Adam.step", step_then_spoil)
+    assert run(["train", "--out", str(tmp_path / "run")] + set_args()) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric failure: node attention scores are not finite: 0 of 24 kept\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -477,6 +504,18 @@ def test_backtest_truncated_checkpoint_exits_2(trained_run, tmp_path, capsys, da
     assert run(["backtest", "--run", str(run_dir), "--out", str(tmp_path / "bt")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+def test_backtest_non_finite_checkpoint_weight_exits_3(trained_run, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    ckpt = str(run_dir / "checkpoint.bin")
+    named = read_named_tensors(ckpt)
+    named["enc0.w_q"][0, 0] = np.inf
+    write_named_tensors(ckpt, named)
+    assert run(["backtest", "--run", str(run_dir), "--out", str(tmp_path / "bt")]) == 3
+    assert capsys.readouterr().err == "numeric failure: parameter enc0.w_q contains non-finite values\n"
+    assert not (tmp_path / "bt").exists()
 
 
 def test_backtest_malformed_run_config_exits_2(trained_run, tmp_path, capsys):

@@ -21,6 +21,7 @@ from dualpath.model import (
     importance_weights,
     load_checkpoint,
     ncorr_attention,
+    node_attention,
     parameter_layout,
     read_named_tensors,
     save_checkpoint,
@@ -382,6 +383,19 @@ def test_ncorr_rejects_bad_n_keep():
         ncorr_attention(h, z_i, lp.qg_temp, lp.kg_temp, lp.vg, 0, 2)
     with pytest.raises(ParameterError):
         ncorr_attention(h, z_i, lp.qg_temp, lp.kg_temp, lp.vg, 5, 2)
+
+
+def test_node_attention_rejects_a_nan_summary():
+    # a NaN score leaves its row with fewer than n_keep kept columns, which
+    # would not reshape to one block of n_keep per row
+    cfg = small_config(topn_ratio=0.5)
+    lp = ModelParams.init(cfg, seed=17).layers[0]
+    rng = np.random.default_rng(17)
+    h = rng.standard_normal((cfg.n_nodes, cfg.d_model))
+    h[1, 0] = np.nan
+    v = Tensor(rng.standard_normal((cfg.n_nodes, cfg.n_features, cfg.d_model)))
+    with pytest.raises(NumericError, match="node attention scores are not finite: 3 of 8 kept"):
+        node_attention(Tensor(h), v, lp.qg_temp, lp.kg_temp, cfg.n_keep, cfg.n_heads)
 
 
 # -- gate ---------------------------------------------------------------------
@@ -831,8 +845,8 @@ def _gate_composition(o_feat, o_temp, ws_f=None, bs_f=None, ws_t=None, bs_t=None
     if gated_feat is None or gated_temp is None:
         return gated_temp if gated_feat is None else gated_feat
     # the sigmoid mutual gate, written as 0.5 + 0.5 tanh(x / 2)
-    mix = 0.5 + 0.5 * nm.tanh(nm.matmul(nm.concat([o_feat, o_temp], axis=-1), wm) / 2.0)
-    return gated_feat * mix + gated_temp * (1.0 - mix)
+    mix = nm.tanh(nm.matmul(nm.concat([o_feat, o_temp], axis=-1), wm) / 2.0) * 0.5 + 0.5
+    return gated_feat * mix + gated_temp * (Tensor(1.0) - mix)
 
 
 def _gate_fused(o_feat, o_temp, **weights):

@@ -388,6 +388,10 @@ def test_train_config_validation():
         TrainConfig(beta1=1.0)
     with pytest.raises(ParameterError):
         TrainConfig(patience=0)
+    with pytest.raises(ParameterError, match="adam_eps must be positive, got 0.0"):
+        TrainConfig(adam_eps=0.0)
+    with pytest.raises(ParameterError, match="accum_days must be >= 1, got 0"):
+        TrainConfig(accum_days=0)
 
 
 def test_ablation_suite_rows_and_isolation():

@@ -339,16 +339,20 @@ def temporal_self_attention(x_aug: Tensor, lp: SimpleNamespace, n_heads: int) ->
 
     One graph node: the Q/K/V projections (one GEMM over the stacked
     maps), per-head softmax(Q Kᵀ / √d_h) V, the head merge and the output
-    projection `w_o`.
+    projection `w_o`. Backward restacks the three maps rather than keep
+    the stacked copy.
     """
     x, w_o = x_aug.data, lp.w_o.data
-    w_qkv = np.concatenate([lp.w_q.data, lp.w_k.data, lp.w_v.data], axis=1)
+
+    def w_qkv():
+        return np.concatenate([lp.w_q.data, lp.w_k.data, lp.w_v.data], axis=1)
+
     n, f, _ = x.shape
     d = w_o.shape[0]
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
     # (N, F, 3d) -> (3, N, h, F, d_h) views of the stacked Q, K, V heads
-    q, k, v = fold_dot(x, w_qkv).reshape(n, f, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    q, k, v = fold_dot(x, w_qkv()).reshape(n, f, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     # `softmax_array` in place, with the row max taken by pairwise maxima
     # over the F columns: a reduction over the short innermost axis is
     # slow, and a max is exact whichever way it is taken
@@ -366,24 +370,37 @@ def temporal_self_attention(x_aug: Tensor, lp: SimpleNamespace, n_heads: int) ->
         g_s = nm.softmax_array_grad(attn, g_ctx @ v.swapaxes(-1, -2)) * scale
         g_qkv = np.stack([g_s @ k, g_s.swapaxes(-1, -2) @ q, attn.swapaxes(-1, -2) @ g_ctx])
         g_qkv = g_qkv.transpose(1, 3, 0, 2, 4).reshape(n, f, 3 * d)
-        g_x = fold_dot(g_qkv, w_qkv.T) if x_aug.requires_grad else None
+        g_x = fold_dot(g_qkv, w_qkv().T) if x_aug.requires_grad else None
         return (g_x, *np.split(fold_wgrad(x, g_qkv), 3, axis=1), fold_wgrad(ctx, g))
 
     return nm.fused(fold_dot(ctx, w_o), (x_aug, lp.w_q, lp.w_k, lp.w_v, lp.w_o), grads)
 
 
 def _ffd(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Token-wise feedforward with its residual, x + (relu(x w1 + b1) w2 + b2), as one graph node."""
+    """Token-wise feedforward with its residual, x + (relu(x w1 + b1) w2 + b2), as one graph node.
+
+    Backward keeps the pre-activation only and recomputes its relu.
+    """
     pre = fold_dot(x.data, w1.data) + b1.data
-    hidden = np.maximum(pre, 0.0)
 
     def grads(g):
         # relu's subgradient at 0 taken as 0
         g_pre = fold_dot(g, w2.data.T) * (pre > 0.0)
         g_x = g + fold_dot(g_pre, w1.data.T) if x.requires_grad else None
-        return g_x, fold_wgrad(x.data, g_pre), fold_bgrad(g_pre), fold_wgrad(hidden, g), fold_bgrad(g)
+        g_w2 = fold_wgrad(np.maximum(pre, 0.0), g)
+        return g_x, fold_wgrad(x.data, g_pre), fold_bgrad(g_pre), g_w2, fold_bgrad(g)
 
-    return nm.fused(x.data + (fold_dot(hidden, w2.data) + b2.data), (x, w1, b1, w2, b2), grads)
+    return nm.fused(x.data + (fold_dot(np.maximum(pre, 0.0), w2.data) + b2.data), (x, w1, b1, w2, b2), grads)
+
+
+def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The token-wise projection x w + b as one graph node: a temporal block's residual path."""
+
+    def grads(g):
+        g_x = fold_dot(g, w.data.T) if x.requires_grad else None
+        return g_x, fold_wgrad(x.data, g), fold_bgrad(g)
+
+    return nm.fused(x.data @ w.data + b.data, (x, w, b), grads)
 
 
 def encode_temporal(x: Tensor, lp: SimpleNamespace, config: ModelConfig, layer_index: int) -> Tensor:
@@ -396,11 +413,11 @@ def encode_temporal(x: Tensor, lp: SimpleNamespace, config: ModelConfig, layer_i
     tokens = transpose_last2(x) if layer_index == 0 else x
     if layer_index == 0 and config.importance_active:
         _, tokens = importance_weights(tokens, lp)
-    residual = matmul(tokens, lp.res_w) + lp.res_b
+    residual = _affine(tokens, lp.res_w, lp.res_b)
     if "no_itblock" in config.ablation:
         return residual
     attended = temporal_self_attention(tokens, lp, config.n_heads)
-    x_hat = layer_norm(attended + residual, lp.ln1_g, lp.ln1_b)
+    x_hat = layer_norm(attended, lp.ln1_g, lp.ln1_b, residual)
     return layer_norm(_ffd(x_hat, lp.ffd1_w1, lp.ffd1_b1, lp.ffd1_w2, lp.ffd1_b2), lp.ln2_g, lp.ln2_b)
 
 
@@ -457,9 +474,17 @@ def double_direction_fusion(z_i: Tensor, lp: SimpleNamespace) -> tuple[Tensor | 
     return h_temp, h_feat
 
 
+def tokens_by_head(t: np.ndarray, n_heads: int) -> np.ndarray:
+    """(N, F, d) -> (heads, N, F * d_head), contiguous: each head's slice of every token, node by node."""
+    n, f, d = t.shape
+    heads = np.ascontiguousarray(t.reshape(n, f, n_heads, d // n_heads).transpose(2, 0, 1, 3))
+    return heads.reshape(n_heads, n, -1)
+
+
 def node_attention(
     h: Tensor,
     v: Tensor,
+    v_heads: np.ndarray,
     w_q: Tensor,
     w_k: Tensor,
     n_keep: int,
@@ -469,7 +494,8 @@ def node_attention(
 
     Queries and keys come from the summary `h` (N x d_h); values are the
     token-wise value map `v` (N x F x d_g) of the layer's token encoding,
-    so the full series encoding survives. Every row keeps only its
+    so the full series encoding survives; `v_heads` is `tokens_by_head(v.data)`,
+    made once for both paths of a layer. Every row keeps only its
     `n_keep` largest scores. The keep mask is shared across heads
     (derived from head-averaged scores) so the learned adjacency has
     exactly `n_keep` neighbors per node; returns the head-averaged
@@ -485,10 +511,6 @@ def node_attention(
     # the top-n neighbours, agree with it bit for bit
     def by_head(t):  # (N, d_g) -> (h, N, d_h)
         return np.ascontiguousarray(t.reshape(n, n_heads, dh).transpose(1, 0, 2))
-
-    def tokens_by_head(t):  # (N, F, d_g) -> (h, N, F * d_h)
-        heads = np.ascontiguousarray(t.reshape(n, f, n_heads, dh).transpose(2, 0, 1, 3))
-        return heads.reshape(n_heads, n, f * dh)
 
     def tokens_by_node(t):  # (h, N, F * d_h) -> (N, F, d_g)
         return t.reshape(n_heads, n, f, dh).transpose(1, 2, 0, 3).reshape(n, f, d_g)
@@ -510,10 +532,9 @@ def node_attention(
     attn = np.zeros_like(scores)
     attn[:, rows, cols] = kept
     attn[:, rows, cols] = kept / attn.sum(axis=-1)[:, rows]
-    v_heads = tokens_by_head(v.data)
 
     def grads(g):
-        g_ctx = tokens_by_head(g)
+        g_ctx = tokens_by_head(g, n_heads)
         g_s = nm.softmax_array_grad(attn, g_ctx @ v_heads.swapaxes(-1, -2)) * scale
         g_q = (g_s @ k_t.swapaxes(-1, -2)).transpose(1, 0, 2).reshape(n, d_g)
         g_k = (q.swapaxes(-1, -2) @ g_s).transpose(2, 0, 1).reshape(n, d_g)
@@ -535,7 +556,8 @@ def ncorr_attention(
     n_heads: int,
 ) -> tuple[Tensor, np.ndarray]:
     """`node_attention` with its own value map `z_i w_v` (one more graph node)."""
-    return node_attention(h, matmul(z_i, w_v), w_q, w_k, n_keep, n_heads)
+    v = matmul(z_i, w_v)
+    return node_attention(h, v, tokens_by_head(v.data, n_heads), w_q, w_k, n_keep, n_heads)
 
 
 def dp_gate(
@@ -562,16 +584,19 @@ def dp_gate(
     if o_temp is not None:
         paths.append((o_temp, lp.ws_t, lp.bs_t))
     gates = [np.tanh(fold_dot(o.data, w.data) + b.data) for o, w, b in paths]
-    gated = [t * o.data for t, (o, _, _) in zip(gates, paths)]
+
+    def gated(i):  # path i's self-gated encoding, recomputed in backward rather than kept
+        return gates[i] * paths[i][0].data
+
     parents = [p for path in paths for p in path]
     if len(paths) == 1:
-        out = gated[0]
+        out = gated(0)
     else:
         # concat([o_feat, o_temp]) @ wm, as one product per path with its rows of wm
         d = lp.wm.shape[1]
         mix_rows = (lp.wm.data[:d], lp.wm.data[d:])
         mix = nm.sigmoid_array(fold_dot(o_feat.data, mix_rows[0]) + fold_dot(o_temp.data, mix_rows[1]))
-        out = gated[0] * mix + gated[1] * (1.0 - mix)
+        out = gated(0) * mix + gated(1) * (1.0 - mix)
         parents.append(lp.wm)
 
     def grads(g):
@@ -579,7 +604,7 @@ def dp_gate(
             g_gated = [g]
         else:
             g_gated = [g * mix, g * (1.0 - mix)]
-            g_mix = g * (gated[0] - gated[1]) * mix * (1.0 - mix)
+            g_mix = g * (gated(0) - gated(1)) * mix * (1.0 - mix)
         result, g_wm = [], []
         for i, ((o, w, _), t, g_p) in enumerate(zip(paths, gates, g_gated)):
             g_pre = g_p * o.data * (1.0 - t * t)
@@ -621,22 +646,24 @@ def forward(x, params: ModelParams, config: ModelConfig) -> tuple[Tensor, Attent
     h = x
     for i, lp in enumerate(params.layers):
         z_i = encode_temporal(h, lp, config, i)
-        # both paths read one value map, so its GEMMs run once per layer
+        # both paths read one value map and one head-major copy of it, so
+        # its GEMMs run once per layer
         v = matmul(z_i, lp.vg)
+        v_heads = tokens_by_head(v.data, config.n_heads)
         h_temp, h_feat = double_direction_fusion(z_i, lp)
         o_feat = o_temp = a_feat = a_temp = None
         if h_feat is not None:
             o_feat, a_feat = node_attention(
-                h_feat, v, lp.qg_feat, lp.kg_feat, config.n_keep, config.n_heads
+                h_feat, v, v_heads, lp.qg_feat, lp.kg_feat, config.n_keep, config.n_heads
             )
         if h_temp is not None:
             o_temp, a_temp = node_attention(
-                h_temp, v, lp.qg_temp, lp.kg_temp, config.n_keep, config.n_heads
+                h_temp, v, v_heads, lp.qg_temp, lp.kg_temp, config.n_keep, config.n_heads
             )
         maps.feature.append(a_feat)
         maps.temporal.append(a_temp)
         merged = dp_gate(o_feat, o_temp, lp, config.ablation)
-        dpa_out = layer_norm(z_i + merged, lp.ln_dpa_g, lp.ln_dpa_b)
+        dpa_out = layer_norm(z_i, lp.ln_dpa_g, lp.ln_dpa_b, merged)
         h = layer_norm(_ffd(dpa_out, lp.ffd2_w1, lp.ffd2_b1, lp.ffd2_w2, lp.ffd2_b2), lp.ln3_g, lp.ln3_b)
 
     y_hat, _, _ = decode(h, params.decoder)

@@ -18,6 +18,13 @@ Graphs are per-result: each Tensor records its parents and a closure
 that routes the incoming gradient, so independent forward passes never
 share state and can run on separate threads.
 
+A node keeps for backward only the arrays its backward reads, and
+recomputes the rest from arrays that stay alive anyway (its parents'
+data), with the forward's own operations in the same order, so the
+gradients are bit-identical to keeping them: `layer_norm` keeps its row
+means and inverse deviations, not the normalized input. Its optional
+`skip` input folds a residual add into the same node.
+
 Graphs are also single-use. `backward` releases every interior node as
 soon as its closure has run, so a training step holds one graph at a
 time and intermediate gradients are freed during the pass. Leaf
@@ -387,16 +394,29 @@ def softmax_lastaxis(x: Tensor) -> Tensor:
     return fused(data, (x,), lambda g: (softmax_array_grad(data, g),))
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (eps 1e-5), then affine."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, skip: Tensor | None = None) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (eps 1e-5), then affine.
+
+    With a `skip` tensor the input is the residual sum `x + skip`, formed
+    inside this one node. Backward keeps only the row means and inverse
+    deviations: it recomputes the sum and the normalized input from the
+    parents with the forward's own operations, so the gradients are those
+    of keeping them.
+    """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     width = x.shape[-1]
     if gamma.shape != (width,) or beta.shape != (width,):
         raise ShapeError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last axis {width}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
+    terms = (x,) if skip is None else (x, _wrap(skip))
+
+    def summed():
+        return x.data if skip is None else x.data + terms[1].data
+
+    s = summed()
+    mu = s.mean(axis=-1, keepdims=True)
+    xc = s - mu
     sq = xc * xc
     var = sq.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
@@ -405,19 +425,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     data += beta.data
 
     def grads(g):
+        xhat = summed() - mu
+        xhat *= inv
         gx = None
-        if x.requires_grad:
+        if any(t.requires_grad for t in terms):
             gx = g * gamma.data
             m1 = gx.mean(axis=-1, keepdims=True)
             m2 = (gx * xhat).mean(axis=-1, keepdims=True)
             gx = inv * (gx - m1 - xhat * m2)
         return (
-            gx,
+            *(gx for _ in terms),
             _unbroadcast(g * xhat, gamma.shape) if gamma.requires_grad else None,
             _unbroadcast(g, beta.shape) if beta.requires_grad else None,
         )
 
-    return fused(data, (x, gamma, beta), grads)
+    return fused(data, (*terms, gamma, beta), grads)
 
 
 def topn_keep_mask(scores: np.ndarray, n: int) -> np.ndarray:

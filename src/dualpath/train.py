@@ -8,6 +8,7 @@ and everything is deterministic given the seed.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -150,6 +151,16 @@ def _mean_val_metrics(
     return loss, information_coefficient(_first_step_scores(samples, y_hat))
 
 
+@contextlib.contextmanager
+def _floating_point_faults(where: str):
+    """Raise a floating-point overflow or invalid operation in the block as a NumericError naming `where`."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as err:
+        raise NumericError(f"{err} at {where}") from None
+
+
 def train_model(
     train_samples: list[WindowSample],
     val_samples: list[WindowSample],
@@ -159,9 +170,12 @@ def train_model(
 ) -> tuple[ModelParams, RunLog]:
     """Fit the model on day-samples, keeping the best-validation-IC state.
 
-    Stops early when validation IC has not improved for `patience`
-    epochs. Aborts with a NumericError naming the offending step if the
-    loss ever goes non-finite.
+    The parameters are copied only when the validation IC improves, and a
+    non-finite validation IC raises NumericError. Stops early when the
+    validation IC has not improved for `patience` epochs. Aborts with a
+    NumericError naming the epoch, step and day if the loss goes
+    non-finite or a floating-point overflow or invalid operation happens
+    in a day-step, and naming the epoch if one happens in validation.
     """
     if not train_samples:
         raise ParameterError("train_model needs a non-empty training split")
@@ -178,7 +192,7 @@ def train_model(
         }
     )
     best_ic = -np.inf
-    best_state = params.state_copy()
+    best_state = None
     stale = 0
     start = time.perf_counter()
 
@@ -189,24 +203,27 @@ def train_model(
         params.zero_grads()
         for pos, idx in enumerate(order):
             sample = train_samples[idx]
-            y_hat, _ = forward(sample.x, params, model_cfg)
-            loss = total_loss(y_hat, Tensor(sample.y), loss_cfg)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, step {pos}, day {sample.day_index}"
-                )
-            loss.backward()
-            epoch_losses.append(value)
-            pending += 1
-            if pending == train_cfg.accum_days or pos == len(order) - 1:
-                optimizer.step()
-                params.zero_grads()
-                pending = 0
+            where = f"epoch {epoch}, step {pos}, day {sample.day_index}"
+            with _floating_point_faults(where):
+                y_hat, _ = forward(sample.x, params, model_cfg)
+                loss = total_loss(y_hat, Tensor(sample.y), loss_cfg)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise NumericError(f"non-finite loss at {where}")
+                loss.backward()
+                epoch_losses.append(value)
+                pending += 1
+                if pending == train_cfg.accum_days or pos == len(order) - 1:
+                    optimizer.step()
+                    params.zero_grads()
+                    pending = 0
 
         val_loss = val_ic = None
         if val_samples:
-            val_loss, val_ic = _mean_val_metrics(params, model_cfg, val_samples, loss_cfg)
+            with _floating_point_faults(f"validation after epoch {epoch}"):
+                val_loss, val_ic = _mean_val_metrics(params, model_cfg, val_samples, loss_cfg)
+            if not np.isfinite(val_ic):
+                raise NumericError(f"non-finite validation IC {val_ic} after epoch {epoch}")
             if val_ic > best_ic:
                 best_ic = val_ic
                 best_state = params.state_copy()

@@ -2,9 +2,12 @@
 
 `filled_softmax` over an `argsort_keep_mask` is the top-n softmax of the
 node attention written the plain way; `op_nodes` lists the graph nodes
-a backward pass runs; `model_grad_check` checks the whole model's
-gradients against central finite differences.
+a backward pass runs; `graph_bytes` counts the array memory a graph
+keeps alive; `model_grad_check` checks the whole model's gradients
+against central finite differences.
 """
+
+from types import FunctionType, SimpleNamespace
 
 import numpy as np
 
@@ -45,6 +48,41 @@ def op_nodes(root):
             out.append(node)
         stack.extend(node._parents)
     return out
+
+
+def graph_bytes(root):
+    """Bytes of the distinct ndarray buffers reachable from the graph under `root`.
+
+    That is each node's data (leaves included) plus every array its
+    backward closure holds, found through the closure cells and the lists,
+    tuples, dicts and namespaces in them. A view counts as its base
+    buffer, and each base counts once.
+    """
+    bases, seen, stack = {}, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj.nbytes
+        elif isinstance(obj, Tensor):
+            stack += [obj.data, obj.grad, obj._backward, *obj._parents]
+        elif isinstance(obj, FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # a variable the closure's branch never assigned
+                    pass
+        elif isinstance(obj, (list, tuple)):
+            stack += obj
+        elif isinstance(obj, dict):
+            stack += obj.values()
+        elif isinstance(obj, SimpleNamespace):
+            stack += vars(obj).values()
+    return sum(bases.values())
 
 
 def model_grad_check(

@@ -5,6 +5,7 @@ import os
 import shutil
 import struct
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -398,6 +399,17 @@ def test_nan_attention_scores_in_training_exit_3(tmp_path, monkeypatch, capsys):
     assert run(["train", "--out", str(tmp_path / "run")] + set_args()) == 3
     err = capsys.readouterr().err
     assert err == "numeric failure: node attention scores are not finite: 0 of 24 kept\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_overflowing_weights_exit_3_naming_the_day_step(tmp_path, capsys):
+    # the first update takes the weights near 1e200, finite; the next
+    # forward overflows, and that is reported as a numeric failure, not warned
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["train", "--out", str(tmp_path / "run")] + set_args(["train.learning_rate=1e200"]))
+    assert code == 3 and not caught
+    assert capsys.readouterr().err == "numeric failure: overflow encountered in matmul at epoch 0, step 1, day 33\n"
     assert not (tmp_path / "run").exists()
 
 

@@ -11,6 +11,7 @@ from dualpath.model import (
     ABLATION_FLAGS,
     ModelConfig,
     ModelParams,
+    _affine,
     _ffd,
     _summary,
     decode,
@@ -26,11 +27,12 @@ from dualpath.model import (
     read_named_tensors,
     save_checkpoint,
     temporal_self_attention,
+    tokens_by_head,
     write_named_tensors,
 )
 from dualpath.numerics import NumericError, ParameterError, ShapeError, Tensor
 
-from oracles import argsort_keep_mask, filled_softmax, op_nodes
+from oracles import argsort_keep_mask, filled_softmax, graph_bytes, op_nodes
 
 
 def small_config(**overrides):
@@ -394,8 +396,9 @@ def test_node_attention_rejects_a_nan_summary():
     h = rng.standard_normal((cfg.n_nodes, cfg.d_model))
     h[1, 0] = np.nan
     v = Tensor(rng.standard_normal((cfg.n_nodes, cfg.n_features, cfg.d_model)))
+    heads = tokens_by_head(v.data, cfg.n_heads)
     with pytest.raises(NumericError, match="node attention scores are not finite: 3 of 8 kept"):
-        node_attention(Tensor(h), v, lp.qg_temp, lp.kg_temp, cfg.n_keep, cfg.n_heads)
+        node_attention(Tensor(h), v, heads, lp.qg_temp, lp.kg_temp, cfg.n_keep, cfg.n_heads)
 
 
 # -- gate ---------------------------------------------------------------------
@@ -834,6 +837,16 @@ def _ffd_composition(x, w1, b1, w2, b2):
     return x + (nm.matmul(nm.relu(nm.matmul(x, w1) + b1), w2) + b2)
 
 
+def _affine_composition(x, w, b):
+    return nm.matmul(x, w) + b
+
+
+def _layer_norm_composition(x, skip, gamma, beta):
+    s = x + skip
+    xc = s - nm.mean(s, axis=-1, keepdims=True)
+    return xc / nm.sqrt(nm.mean(xc * xc, axis=-1, keepdims=True) + 1e-5) * gamma + beta
+
+
 def _summary_composition(a, b, w_q, w_k):
     weights = nm.softmax_lastaxis(nm.matmul(nm.matmul(a, w_q), nm.transpose_last2(nm.matmul(b, w_k))))
     return nm.sum_(weights * a, axis=-1)
@@ -879,6 +892,13 @@ def _fused_case(name):
         inputs = {"x_aug": rand(n, f, cfg.layer_input_width(0))}
         inputs.update((k, getattr(lp, k).data) for k in ("w_q", "w_k", "w_v", "w_o"))
         return run(temporal_self_attention), run(_mha_composition), inputs, ()
+    if name == "residual":
+        inputs = {"x": rand(n, f, cfg.layer_input_width(0)), "w": lp.res_w.data, "b": rand(d)}
+        return _affine, _affine_composition, inputs, ()
+    if name == "layer_norm_residual":
+        inputs = {"x": rand(n, f, d), "skip": rand(n, f, d), "gamma": rand(d), "beta": rand(d)}
+        return (lambda x, skip, gamma, beta: nm.layer_norm(x, gamma, beta, skip),
+                _layer_norm_composition, inputs, ())
     if name == "ffd":
         inputs = {"x": rand(n, f, d), "w1": lp.ffd1_w1.data, "b1": rand(cfg.ffd_width),
                   "w2": lp.ffd1_w2.data, "b2": rand(d)}
@@ -931,8 +951,8 @@ def _fused_case(name):
 
 
 FUSED_CASES = [
-    "mha", "ffd", "summary_temporal", "summary_feature", "summary_temporal_wide",
-    "summary_feature_wide", "ncorr", "ncorr_tied",
+    "mha", "residual", "layer_norm_residual", "ffd", "summary_temporal", "summary_feature",
+    "summary_temporal_wide", "summary_feature_wide", "ncorr", "ncorr_tied",
     "gate_two_paths", "gate_feature_only", "gate_temporal_only",
 ]
 
@@ -1000,7 +1020,18 @@ def test_desk_day_step_graph_node_count():
     rng = np.random.default_rng(0)
     y_hat, _ = forward(rng.standard_normal((50, 30, 8)), params, cfg)
     loss = total_loss(y_hat, Tensor(rng.standard_normal((50, 1))), LossConfig())
-    assert len(op_nodes(loss)) == 57
+    assert len(op_nodes(loss)) == 54
+
+
+def test_day_step_graph_live_bytes():
+    # each node keeps only the arrays its backward reads; an array kept for
+    # backward that could be recomputed from live ones raises the count
+    cfg = ModelConfig(n_nodes=20, n_features=4, lookback=8, horizon=1, d_model=16, n_heads=2, n_layers=2)
+    params = ModelParams.init(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    y_hat, _ = forward(rng.standard_normal((20, 8, 4)), params, cfg)
+    loss = total_loss(y_hat, Tensor(rng.standard_normal((20, 1))), LossConfig())
+    assert graph_bytes(loss) == 694_784
 
 
 def test_both_paths_of_a_layer_share_one_value_map_node():

@@ -1,5 +1,6 @@
 import ctypes
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,37 @@ def test_best_validation_state_retained():
     replay, _ = train_model(splits[0], splits[1], cfg, TrainConfig(epochs=best_epoch + 1, seed=6))
     for name, t in params.named().items():
         assert np.array_equal(t.data, replay.named()[name].data), name
+
+
+@pytest.mark.parametrize(
+    "ic, message",
+    [
+        (lambda: math.nan, "non-finite validation IC nan after epoch 0"),
+        (lambda: float(np.exp(np.float64(1000.0))), "overflow encountered in exp at validation after epoch 0"),
+    ],
+    ids=["nan_ic", "overflow"],
+)
+def test_non_finite_validation_raises(monkeypatch, ic, message):
+    cfg, splits = tiny_pipeline()
+    monkeypatch.setattr("dualpath.train.information_coefficient", lambda days: ic())
+    with pytest.raises(NumericError, match=f"^{message}$"):
+        train_model(splits[0][:2], splits[1][:2], cfg, TrainConfig(epochs=2, seed=4))
+
+
+def test_train_model_peak_holds_no_dead_parameter_copy():
+    # at d_model 64 and 10 nodes the parameters outweigh one day's graph; one
+    # epoch peaks at 6.3 parameter sets (weights, Adam's two moments, one
+    # gradient set and the graph), and a copy of the weights held through it
+    # reads 7.3
+    cfg, splits = tiny_pipeline(d_model=64, ffd_hidden=64)
+    param_bytes = sum(t.data.nbytes for t in ModelParams.init(cfg).tensors())
+    tracemalloc.start()
+    try:
+        train_model(splits[0][:3], splits[1][:2], cfg, TrainConfig(epochs=1, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.8 * param_bytes
 
 
 def test_early_stopping_respects_patience():
